@@ -9,8 +9,8 @@ parameter optimization, and Monte Carlo ensemble studies.
 __version__ = "0.1.0"
 
 from .bayes import (FieldDistribution, FieldGrid, GainRecord,
-                    ImpossibleOutcomeError, SIGMA_DEFAULT, T_SATURATION,
-                    bayes_update, differential_entropy, entropy,
+                    ImpossibleOutcomeError, PriorSpec, SIGMA_DEFAULT,
+                    T_SATURATION, bayes_update, differential_entropy, entropy,
                     expected_gain, gaussian_prior, posterior_stats,
                     uniform_prior)
 from .config import (ConfigError, decoherence_from, load_config, prior_from)
@@ -21,13 +21,11 @@ from .decoherence import (DecoherenceParams, decohere_channel,
                           dephased_fourier_prob, is_density_matrix,
                           likelihood_grid, lindblad_oracle,
                           outcome_probabilities)
-from .harness import (EnsembleConfig, GainCurve, OscillationResult, PriorSpec,
+from .harness import (EnsembleConfig, GainCurve, OscillationResult,
                       ScalingEstimate, first_step_gain_curve,
                       max_sliding_alpha, oscillation_study, run_ensemble,
                       scaling_exponent, sliding_alpha)
-from .optimizer import OptimizationResult, gain_landscape, optimize_step_params
+from .optimizer import OptimizationResult, optimize_step_params
 from .protocols import (ProtocolConfig, ProtocolTrajectory, StepPlan,
-                        StepRecord, classical_step, fourier_max_steps,
-                        fourier_step, kitaev_max_steps, kitaev_step,
-                        lama_step, modified_fourier_step, run_protocol,
-                        schedule_delays)
+                        StepRecord, fourier_max_steps, kitaev_max_steps,
+                        run_protocol, schedule_delays)

@@ -100,6 +100,22 @@ def uniform_prior(grid: FieldGrid) -> FieldDistribution:
     return FieldDistribution(grid, np.ones(grid.m))
 
 
+@dataclass(frozen=True)
+class PriorSpec:
+    """Gaussian prior of width sigma about mean on a grid of m points
+    spanning span_sigmas widths."""
+
+    mean: float = 0.0
+    sigma: float = SIGMA_DEFAULT
+    span_sigmas: float = 12.0
+    m: int = 8192
+
+    def build(self) -> FieldDistribution:
+        grid = FieldGrid.centered(self.sigma, self.span_sigmas, self.m,
+                                  center=self.mean)
+        return gaussian_prior(grid, self.mean, self.sigma)
+
+
 def bayes_update(dist: FieldDistribution, likelihood) -> FieldDistribution:
     """Posterior ~ prior * likelihood; raises ImpossibleOutcomeError when the
     product has zero mass (never silently renormalized)."""

@@ -20,15 +20,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bayes import ImpossibleOutcomeError, posterior_stats
+from .bayes import ImpossibleOutcomeError, T_SATURATION, posterior_stats
 from .config import (ConfigError, decoherence_from, load_config, prior_from,
                      si_seconds)
 from .core import balanced_state, fourier_gate, spin_xy_projection, xy_state
-from .harness import (EnsembleConfig, PriorSpec, first_step_gain_curve,
+from .harness import (EnsembleConfig, first_step_gain_curve,
                       oscillation_study, run_ensemble, sliding_alpha)
 from .optimizer import optimize_step_params
-from .protocols import (ProtocolConfig, fourier_max_steps, run_protocol,
-                        schedule_delays)
+from .protocols import ProtocolConfig, fourier_max_steps, run_protocol
 
 # Display-only conversion factor between the reduced field (rad/s) and the
 # flux axis used for presentation; enabled with --flux-axis.
@@ -74,13 +73,17 @@ def _protocol_config(kind: str, config: dict, decoherence, n_steps: int,
                               decoherence=decoherence)
     t1 = si_seconds(config, kind, "t1_us")
     steps = config[kind]["n_steps"] or fourier_max_steps(t1)
+    if steps == 0:
+        raise ConfigError(f"key 't1_us' in section [{kind}]: "
+                          f"{config[kind]['t1_us']:g} us leaves no step above "
+                          f"the {T_SATURATION * 1e9:g} ns floor")
     return ProtocolConfig(kind, t1=t1, n_steps=steps, decoherence=decoherence)
 
 
 def cmd_gain_curve(config: dict, seed: int, flux_axis: bool):
     """First-step expected-gain sweep over the delay time."""
     section = config["gain-curve"]
-    prior = prior_from(config)
+    prior = prior_from(config).build()
     decoherence = decoherence_from(config)
     if section["prep"] == "balanced":
         prep = balanced_state(3)
@@ -101,11 +104,7 @@ def cmd_compare(config: dict, seed: int, flux_axis: bool):
     """Ensemble gain curves for several protocols plus scaling fits."""
     section = config["compare"]
     decoherence = decoherence_from(config)
-    prior_cfg = config["prior"]
-    prior_spec = PriorSpec(mean=prior_cfg["mean_rad_per_s"],
-                           sigma=prior_cfg["sigma_rad_per_s"],
-                           span_sigmas=prior_cfg["span_sigmas"],
-                           m=prior_cfg["grid_points"])
+    prior_spec = prior_from(config)
     csv_files = []
     summary = {}
     for kind in section["protocols"]:
@@ -134,7 +133,7 @@ def cmd_compare(config: dict, seed: int, flux_axis: bool):
 def cmd_lama_trace(config: dict, seed: int, flux_axis: bool):
     """Replay a fixed outcome list and dump the per-step posteriors."""
     section = config["lama-trace"]
-    prior = prior_from(config)
+    prior = prior_from(config).build()
     decoherence = decoherence_from(config)
     outcomes = section["outcomes"]
     protocol = ProtocolConfig("lama", t1=si_seconds(config, "lama-trace", "t1_ns"),
@@ -197,7 +196,7 @@ def cmd_oscillations(config: dict, seed: int, flux_axis: bool):
 def cmd_optimize(config: dict, seed: int, flux_axis: bool):
     """Pulse-parameter search at each requested delay time."""
     section = config["optimize"]
-    prior = prior_from(config)
+    prior = prior_from(config).build()
     decoherence = decoherence_from(config)
     fix_readout = fourier_gate(3) if section["readout"] == "fourier" else None
     rows = []
@@ -256,6 +255,9 @@ def main(argv=None) -> int:
             if "compare" in config:
                 config["compare"]["n_experiments"] = PAPER_SCALE_EXPERIMENTS
         seed = args.seed if args.seed is not None else config["run"]["seed"]
+        if seed < 0:
+            raise ConfigError(f"--seed: expected a non-negative integer, "
+                              f"got {seed}")
         csv_files, summary = _COMMANDS[args.command](config, seed,
                                                      args.flux_axis)
     except ConfigError as err:

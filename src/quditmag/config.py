@@ -15,8 +15,7 @@ from __future__ import annotations
 import configparser
 import math
 
-from .bayes import SIGMA_DEFAULT, FieldDistribution, gaussian_prior
-from .bayes import FieldGrid
+from .bayes import SIGMA_DEFAULT, PriorSpec
 from .decoherence import DecoherenceParams
 
 REQUIRED = object()
@@ -28,7 +27,7 @@ class ConfigError(Exception):
     """Invalid or malformed run configuration."""
 
 
-def _float(raw: str) -> float:
+def _number(raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
@@ -38,8 +37,22 @@ def _float(raw: str) -> float:
     return value
 
 
+def _float(raw: str) -> float:
+    value = _number(raw)
+    if math.isinf(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _positive_float(raw: str) -> float:
     value = _float(raw)
+    if not value > 0:
+        raise ConfigError(f"expected a positive number, got {raw!r}")
+    return value
+
+
+def _positive_float_or_inf(raw: str) -> float:
+    value = _number(raw)
     if not value > 0:
         raise ConfigError(f"expected a positive number, got {raw!r}")
     return value
@@ -70,6 +83,13 @@ def _nonneg_int(raw: str) -> int:
     value = _int(raw)
     if value < 0:
         raise ConfigError(f"expected a non-negative integer, got {raw!r}")
+    return value
+
+
+def _grid_size(raw: str) -> int:
+    value = _int(raw)
+    if value < 2:
+        raise ConfigError(f"expected a grid size of at least 2, got {raw!r}")
     return value
 
 
@@ -105,11 +125,11 @@ _SHARED_SCHEMA = {
         "mean_rad_per_s": (_float, 0.0),
         "sigma_rad_per_s": (_positive_float, SIGMA_DEFAULT),
         "span_sigmas": (_positive_float, 12.0),
-        "grid_points": (_positive_int, 8192),
+        "grid_points": (_grid_size, 8192),
     },
     "decoherence": {
         # inf means a fully coherent sensor (no relaxation or dephasing)
-        "coherence_time_us": (_positive_float, math.inf),
+        "coherence_time_us": (_positive_float_or_inf, math.inf),
     },
 }
 
@@ -152,9 +172,9 @@ COMMAND_SCHEMAS = {
         "oscillations": {
             "kind": (_choice("edge", "center", "discreteness"), REQUIRED),
             "variants_rad_per_s": (_list_of(_positive_float), ()),
-            "variants_points": (_list_of(_positive_int), ()),
+            "variants_points": (_list_of(_grid_size), ()),
             "n_t": (_positive_int, 1500),
-            "grid_points": (_positive_int, 4096),
+            "grid_points": (_grid_size, 4096),
         },
     },
     "optimize": {
@@ -225,12 +245,11 @@ def load_config(path: str, command: str) -> dict:
     return resolved
 
 
-def prior_from(config: dict) -> FieldDistribution:
-    """Gaussian prior built from the [prior] section."""
+def prior_from(config: dict) -> PriorSpec:
+    """Gaussian prior specification from the [prior] section."""
     spec = config["prior"]
-    grid = FieldGrid.centered(spec["sigma_rad_per_s"], spec["span_sigmas"],
-                              spec["grid_points"], center=spec["mean_rad_per_s"])
-    return gaussian_prior(grid, spec["mean_rad_per_s"], spec["sigma_rad_per_s"])
+    return PriorSpec(mean=spec["mean_rad_per_s"], sigma=spec["sigma_rad_per_s"],
+                     span_sigmas=spec["span_sigmas"], m=spec["grid_points"])
 
 
 def decoherence_from(config: dict) -> DecoherenceParams:

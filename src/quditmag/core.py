@@ -51,15 +51,6 @@ class SpinProjection:
         return float(np.hypot(self.jx, self.jy))
 
 
-def normalize(state) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
-    return state / np.linalg.norm(state)
-
-
-def is_normalized(state, tol: float = 1e-12) -> bool:
-    return abs(np.linalg.norm(state) - 1.0) < tol
-
-
 def balanced_state(d: int = 3) -> np.ndarray:
     """Equal-amplitude superposition (1, ..., 1)/sqrt(d)."""
     if d < 2:

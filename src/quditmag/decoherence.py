@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import fourier_gate
-
 _DEGENERATE_RATE_RTOL = 1e-9
 
 
@@ -85,13 +83,12 @@ def _cascade_feed(gamma_10: float, gamma_21: float, t):
     return gamma_21 / (gamma_21 - gamma_10) * (np.exp(-gamma_10 * t) - np.exp(-gamma_21 * t))
 
 
-def decohere_channel(pi, t: float, params: DecoherenceParams, omega: float = 0.0):
+def decohere_channel(pi, t: float, params: DecoherenceParams):
     """Apply the closed-form relaxation/dephasing map to a density matrix.
 
     ``pi`` is the qutrit state after unitary-only evolution for time ``t``
     (field phases already applied); broadcasting over leading axes is
-    supported, so ``pi`` may be shaped (..., 3, 3).  ``omega`` is accepted
-    for signature symmetry with the oracle; the phases live in ``pi``.
+    supported, so ``pi`` may be shaped (..., 3, 3).
     """
     if t < 0:
         raise ValueError(f"delay time must be non-negative, got {t}")
@@ -115,16 +112,6 @@ def decohere_channel(pi, t: float, params: DecoherenceParams, omega: float = 0.0
     rho[..., 1, 2] = pi[..., 1, 2] * e12c
     rho[..., 2, 1] = pi[..., 2, 1] * e12c
     return rho
-
-
-def _lindblad_rhs(rho, h, jump_ops, rates):
-    drho = -1j * (h @ rho - rho @ h)
-    for l, gamma in zip(jump_ops, rates):
-        if gamma == 0.0:
-            continue
-        ldl = l.conj().T @ l
-        drho = drho + gamma * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
-    return drho
 
 
 def lindblad_oracle(initial, t: float, params: DecoherenceParams,
@@ -151,15 +138,20 @@ def lindblad_oracle(initial, t: float, params: DecoherenceParams,
     jump_ops = [sigma_01, sigma_12, dephase]
     rates = [params.gamma_10, params.gamma_21, params.gamma_phi]
 
-    dt = t / n_steps
-    rho = initial.copy()
-    for _ in range(n_steps):
-        k1 = _lindblad_rhs(rho, h, jump_ops, rates)
-        k2 = _lindblad_rhs(rho + 0.5 * dt * k1, h, jump_ops, rates)
-        k3 = _lindblad_rhs(rho + 0.5 * dt * k2, h, jump_ops, rates)
-        k4 = _lindblad_rhs(rho + dt * k3, h, jump_ops, rates)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
+    # Generator on row-major vec(rho): vec(A rho B) = (A kron B^T) vec(rho).
+    eye = np.eye(3)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for l, gamma in zip(jump_ops, rates):
+        ldl = l.conj().T @ l
+        gen += gamma * (np.kron(l, l.conj())
+                        - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
+
+    # One RK4 step of the linear ODE is exactly this degree-4 polynomial.
+    a = gen * (t / n_steps)
+    a2 = a @ a
+    step = np.eye(9) + a + a2 / 2.0 + a2 @ a / 6.0 + a2 @ a2 / 24.0
+    rho = np.linalg.matrix_power(step, n_steps) @ initial.reshape(9)
+    return rho.reshape(3, 3)
 
 
 def likelihood_grid(prep, t: float, readout, omegas, params: DecoherenceParams):
@@ -210,6 +202,3 @@ def dephased_fourier_prob(xi: int, omega: float, t: float,
     return float(1.0 / 3.0
                  + (2.0 / 9.0) * np.cos(omega * t + 2.0 * np.pi * xi / 3.0) * (e01 + e12)
                  + (2.0 / 9.0) * np.cos(2.0 * omega * t - 2.0 * np.pi * xi / 3.0) * e02)
-
-
-F3 = fourier_gate(3)

@@ -8,24 +8,11 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 from scipy.signal import find_peaks
 
-from .bayes import (FieldDistribution, FieldGrid, LN2, SIGMA_DEFAULT,
-                    entropy, expected_gain, gaussian_prior, uniform_prior)
+from .bayes import (FieldDistribution, FieldGrid, LN2, PriorSpec, SIGMA_DEFAULT,
+                    expected_gain, gaussian_prior, uniform_prior)
 from .core import balanced_state, fourier_gate
 from .decoherence import DecoherenceParams
 from .protocols import ProtocolConfig, run_protocol, schedule_delays
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    mean: float = 0.0
-    sigma: float = SIGMA_DEFAULT
-    span_sigmas: float = 12.0
-    m: int = 8192
-
-    def build(self) -> FieldDistribution:
-        grid = FieldGrid.centered(self.sigma, self.span_sigmas, self.m,
-                                  center=self.mean)
-        return gaussian_prior(grid, self.mean, self.sigma)
 
 
 @dataclass(frozen=True)

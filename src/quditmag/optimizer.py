@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bayes import FieldDistribution, expected_gain
-from .core import PulseParams, fourier_gate, pulse_unitary
+from .core import PulseParams, pulse_unitary
 from .decoherence import DecoherenceParams
 
 SEARCH_BOX = (-np.pi, np.pi)
@@ -104,13 +104,3 @@ def optimize_step_params(dist: FieldDistribution, t: float,
                               n_evaluations=n_evals, starts=n_starts,
                               budget_exhausted=exhausted,
                               start_gains=start_gains)
-
-
-def gain_landscape(dist: FieldDistribution, t_values, prep,
-                   decoherence: DecoherenceParams) -> np.ndarray:
-    """Expected gain per delay time for a fixed prep and F_3 readout;
-    returns an array of (t, gain_bits) rows."""
-    readout = fourier_gate(3)
-    rows = [(float(t), expected_gain(dist, t, prep, readout, decoherence))
-            for t in t_values]
-    return np.array(rows)

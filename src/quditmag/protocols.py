@@ -26,8 +26,6 @@ from .bayes import (FieldDistribution, GainRecord, ImpossibleOutcomeError,
 from .core import balanced_state, fourier_gate, xy_state
 from .decoherence import DecoherenceParams, likelihood_grid, outcome_probabilities
 
-PROTOCOL_KINDS = ("lama", "classical", "kitaev", "fourier", "fourier_modified")
-
 
 @dataclass(frozen=True)
 class StepPlan:
@@ -48,7 +46,6 @@ class ProtocolConfig:
     t1: float
     n_steps: int
     dt: float = 0.0              # LAMA only: per-step delay increment
-    d: int = 3
     decoherence: DecoherenceParams = DecoherenceParams.none()
     alpha: float = 0.0           # XY-prep phases for lama/classical
     beta: float = 0.0
@@ -60,8 +57,6 @@ class ProtocolConfig:
             raise ValueError("t1 must be positive")
         if self.n_steps < 0:
             raise ValueError("n_steps must be non-negative")
-        if self.d != 3:
-            raise ValueError("protocols are implemented for qutrits (d = 3)")
 
 
 @dataclass(frozen=True)
@@ -99,73 +94,53 @@ def fourier_feedback_phase(previous_outcomes) -> float:
     return alpha
 
 
-def lama_step(i: int, config: ProtocolConfig) -> StepPlan:
-    """Delay t1 + (i-1) dt; outcome-independent XY-plane prep; F_3 readout."""
-    if i < 1:
-        raise ValueError("step index starts at 1")
-    return StepPlan(delay=config.t1 + (i - 1) * config.dt,
-                    prep=xy_state(config.alpha, config.beta),
-                    readout=fourier_gate(3))
+def _feedback_phases(previous_outcomes) -> np.ndarray:
+    return np.exp(1j * fourier_feedback_phase(previous_outcomes) * np.arange(3))
 
 
-def classical_step(i: int, config: ProtocolConfig) -> StepPlan:
-    """Constant delay t1; same prep and readout as LAMA."""
-    if i < 1:
-        raise ValueError("step index starts at 1")
-    return StepPlan(delay=config.t1,
-                    prep=xy_state(config.alpha, config.beta),
-                    readout=fourier_gate(3))
+def _fourier_delay(config: ProtocolConfig, i: int) -> float:
+    return config.t1 / 3.0 ** (i - 1)
 
 
-def kitaev_step(i: int, config: ProtocolConfig) -> StepPlan:
-    """Delay t1 * 3^(i-1); balanced prep; F_3 readout."""
-    if i < 1:
-        raise ValueError("step index starts at 1")
-    return StepPlan(delay=config.t1 * 3.0 ** (i - 1),
-                    prep=balanced_state(3),
-                    readout=fourier_gate(3))
+def _xy_prep(config: ProtocolConfig, previous_outcomes) -> np.ndarray:
+    return xy_state(config.alpha, config.beta)
 
 
-def fourier_step(i: int, config: ProtocolConfig, previous_outcomes) -> StepPlan:
-    """Delay t1 / 3^(i-1); balanced-amplitude prep with feedback phase."""
-    if i < 1:
-        raise ValueError("step index starts at 1")
-    if len(previous_outcomes) < i - 1:
-        raise ValueError("outcome history shorter than step index")
-    alpha = fourier_feedback_phase(previous_outcomes[:i - 1])
-    prep = np.exp(1j * alpha * np.arange(3)) / np.sqrt(3)
-    return StepPlan(delay=config.t1 / 3.0 ** (i - 1),
-                    prep=prep, readout=fourier_gate(3))
+# XY-plane amplitudes (1/2, 1/sqrt 2, 1/2) of the modified Fourier prep.
+_MODIFIED_AMPS = np.array([0.5, 1.0 / np.sqrt(2), 0.5])
 
-
-def modified_fourier_step(i: int, config: ProtocolConfig, previous_outcomes) -> StepPlan:
-    """Fourier schedule and feedback with XY-plane amplitudes (1/2, 1/sqrt 2, 1/2)."""
-    if i < 1:
-        raise ValueError("step index starts at 1")
-    if len(previous_outcomes) < i - 1:
-        raise ValueError("outcome history shorter than step index")
-    alpha = fourier_feedback_phase(previous_outcomes[:i - 1])
-    amps = np.array([0.5, 1.0 / np.sqrt(2), 0.5])
-    prep = amps * np.exp(1j * alpha * np.arange(3))
-    return StepPlan(delay=config.t1 / 3.0 ** (i - 1),
-                    prep=prep, readout=fourier_gate(3))
+# kind -> (delay rule (config, i) -> t_i, prep rule (config, outcomes) -> prep).
+# The readout is always F_3.  Only the two Fourier prep rules read the
+# outcome history.
+_STEP_RULES = {
+    "lama": (lambda c, i: c.t1 + (i - 1) * c.dt, _xy_prep),
+    "classical": (lambda c, i: c.t1, _xy_prep),
+    "kitaev": (lambda c, i: c.t1 * 3.0 ** (i - 1),
+               lambda c, h: balanced_state(3)),
+    "fourier": (_fourier_delay,
+                lambda c, h: _feedback_phases(h) / np.sqrt(3)),
+    "fourier_modified": (_fourier_delay,
+                         lambda c, h: _MODIFIED_AMPS * _feedback_phases(h)),
+}
+PROTOCOL_KINDS = tuple(_STEP_RULES)
 
 
 def plan_step(i: int, config: ProtocolConfig, previous_outcomes) -> StepPlan:
-    if config.kind == "lama":
-        return lama_step(i, config)
-    if config.kind == "classical":
-        return classical_step(i, config)
-    if config.kind == "kitaev":
-        return kitaev_step(i, config)
-    if config.kind == "fourier":
-        return fourier_step(i, config, previous_outcomes)
-    return modified_fourier_step(i, config, previous_outcomes)
+    """Plan step i (1-based) from the first i - 1 outcomes."""
+    if i < 1:
+        raise ValueError("step index starts at 1")
+    if len(previous_outcomes) < i - 1:
+        raise ValueError("outcome history shorter than step index")
+    delay_rule, prep_rule = _STEP_RULES[config.kind]
+    return StepPlan(delay=delay_rule(config, i),
+                    prep=prep_rule(config, previous_outcomes[:i - 1]),
+                    readout=fourier_gate(3))
 
 
 def schedule_delays(config: ProtocolConfig) -> np.ndarray:
     """Delay times of all steps (deterministic for every protocol kind)."""
-    return np.array([plan_step(i, config, [0] * (i - 1)).delay
+    delay_rule = _STEP_RULES[config.kind][0]
+    return np.array([delay_rule(config, i)
                      for i in range(1, config.n_steps + 1)])
 
 

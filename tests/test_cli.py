@@ -87,11 +87,28 @@ def test_csv_cells_use_fixed_notation(tmp_path):
     assert body.endswith("\n")
 
 
-def test_malformed_config_exits_2_without_files(tmp_path, capsys):
-    cfg = write(tmp_path, "bad.ini", "[gain-curve]\nprepp = xy\n")
+@pytest.mark.parametrize("command, text, extra, offender", [
+    pytest.param("gain-curve", "[gain-curve]\nprepp = xy\n", [], "prepp",
+                 id="unknown-key"),
+    pytest.param("compare", "[compare]\nprotocols = fourier\n"
+                 "[fourier]\nt1_us = 0.01\n[prior]\ngrid_points = 1024\n",
+                 [], "t1_us", id="fourier-t1-below-floor"),
+    pytest.param("gain-curve", "[gain-curve]\nn_t = 5\n"
+                 "[prior]\nsigma_rad_per_s = inf\n", [], "sigma_rad_per_s",
+                 id="infinite-sigma"),
+    pytest.param("gain-curve", "[gain-curve]\nn_t = 5\n"
+                 "[prior]\ngrid_points = 1\n", [], "grid_points",
+                 id="one-grid-point"),
+    pytest.param("gain-curve", "[gain-curve]\nn_t = 5\n"
+                 "[prior]\ngrid_points = 64\n", ["--seed", "-1"], "--seed",
+                 id="negative-seed"),
+])
+def test_malformed_config_exits_2_without_files(tmp_path, capsys, command,
+                                                text, extra, offender):
+    cfg = write(tmp_path, "bad.ini", text)
     out = str(tmp_path / "bad_out")
-    assert main(["gain-curve", "--config", cfg, "--out", out]) == 2
-    assert "prepp" in capsys.readouterr().err
+    assert main([command, "--config", cfg, "--out", out, *extra]) == 2
+    assert offender in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from quditmag.bayes import (FieldGrid, SIGMA_DEFAULT, T_SATURATION, entropy,
                             gaussian_prior, uniform_prior)
-from quditmag.core import balanced_state, xy_state
+from quditmag.core import balanced_state, fourier_gate, xy_state
 from quditmag.decoherence import DecoherenceParams
 from quditmag.protocols import (PROTOCOL_KINDS, ProtocolConfig,
                                 fourier_feedback_phase, fourier_max_steps,
@@ -43,8 +43,6 @@ def test_invalid_configs_rejected():
         ProtocolConfig("unknown", t1=1e-8, n_steps=3)
     with pytest.raises(ValueError):
         ProtocolConfig("lama", t1=0.0, n_steps=3)
-    with pytest.raises(ValueError):
-        ProtocolConfig("lama", t1=1e-8, n_steps=3, d=4)
 
 
 def test_feedback_phase_weights_recent_outcomes_strongest():
@@ -66,6 +64,30 @@ def test_prep_states_per_protocol():
                                            n_steps=5), [1])
     assert np.allclose(np.abs(modified.prep),
                        [0.5, 1.0 / np.sqrt(2), 0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_plan_step_closed_forms(kind):
+    """Step 4 after outcomes (2, 0, 1): closed-form delay, prep and F_3
+    readout; the Fourier preps carry amps * exp(i alpha k)."""
+    t1, dt, a, b = 15e-9, 40e-9, 0.3, -1.1
+    config = ProtocolConfig(kind, t1=t1, dt=dt, n_steps=4, alpha=a, beta=b)
+    history = [2, 0, 1]
+    alpha = -(2.0 * np.pi / 3.0) * (1.0 / 3.0 + 0.0 / 9.0 + 2.0 / 27.0)
+    assert fourier_feedback_phase(history) == pytest.approx(alpha, abs=1e-15)
+    feedback = np.exp(1j * alpha * np.arange(3))
+    delay, prep = {
+        "lama": (t1 + 3.0 * dt, xy_state(a, b)),
+        "classical": (t1, xy_state(a, b)),
+        "kitaev": (27.0 * t1, balanced_state(3)),
+        "fourier": (t1 / 27.0, feedback / np.sqrt(3.0)),
+        "fourier_modified": (t1 / 27.0,
+                             np.array([0.5, 1.0 / np.sqrt(2.0), 0.5]) * feedback),
+    }[kind]
+    plan = plan_step(4, config, history)
+    assert plan.delay == pytest.approx(delay, rel=1e-15)
+    np.testing.assert_allclose(plan.prep, prep, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(plan.readout, fourier_gate(3))
 
 
 def test_lama_prep_outcome_independent(prior):
