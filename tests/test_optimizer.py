@@ -7,6 +7,7 @@ from quditmag.bayes import (FieldGrid, SIGMA_DEFAULT, T_SATURATION,
                             expected_gain, gaussian_prior)
 from quditmag.core import fourier_gate, spin_xy_projection, xy_state
 from quditmag.decoherence import DecoherenceParams
+from quditmag.harness import first_step_gain_curve
 from quditmag.optimizer import optimize_step_params
 
 NO_DECAY = DecoherenceParams.none()
@@ -63,3 +64,13 @@ def test_plateau_universality(prior):
                            fourier_gate(3), NO_DECAY)
              for a, b in rng.uniform(-np.pi, np.pi, size=(10, 2))]
     assert max(gains) - min(gains) < 0.005
+
+
+def test_gain_landscape_saturates(prior):
+    t_values = np.array([0.0, T_SATURATION, 5.0 * T_SATURATION])
+    gains = first_step_gain_curve(prior, t_values, xy_state(0.0, 0.0),
+                                  NO_DECAY)
+    assert gains.shape == (3,)
+    assert abs(gains[0]) < 1e-9
+    assert gains[2] == pytest.approx(2.0 * (1.0 / np.log(2) - 1.0), abs=0.01)
+    assert gains[1] < gains[2]
