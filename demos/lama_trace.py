@@ -25,7 +25,7 @@ def replay(outcomes):
     for i, step in enumerate(traj.steps, start=1):
         mean, std = posterior_stats(step.posterior)
         print(f"{i:4d} {step.outcome:3d} {step.plan.delay * 1e9:10.1f} "
-              f"{step.gain.gain_bits:11.3f} {mean:13.3e} {std:12.3e}")
+              f"{step.gain_bits:11.3f} {mean:13.3e} {std:12.3e}")
     total = traj.cumulative_gain_bits()[-1]
     print(f"total gain {total:.3f} bits "
           f"over t_phi = {traj.phase_accumulation_time * 1e9:.0f} ns\n")

@@ -75,19 +75,6 @@ class FieldDistribution:
         object.__setattr__(self, "weights", w / total)
 
 
-@dataclass(frozen=True)
-class GainRecord:
-    """Entropy bookkeeping for one measurement step (entropies in nats)."""
-
-    step_index: int
-    entropy_before: float
-    entropy_after: float
-
-    @property
-    def gain_bits(self) -> float:
-        return (self.entropy_before - self.entropy_after) / LN2
-
-
 def gaussian_prior(grid: FieldGrid, mean: float = 0.0,
                    sigma: float = SIGMA_DEFAULT) -> FieldDistribution:
     if sigma <= 0:

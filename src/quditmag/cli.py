@@ -58,31 +58,29 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def _protocol_config(kind: str, config: dict, decoherence, n_steps: int,
-                     ) -> ProtocolConfig:
-    if kind == "lama":
-        return ProtocolConfig(kind, t1=si_seconds(config, "lama", "t1_ns"),
-                              dt=si_seconds(config, "lama", "dt_ns"),
-                              n_steps=n_steps, decoherence=decoherence)
-    if kind == "classical":
-        return ProtocolConfig(kind, t1=si_seconds(config, "classical", "t1_ns"),
-                              n_steps=n_steps, decoherence=decoherence)
-    if kind == "kitaev":
-        return ProtocolConfig(kind, t1=si_seconds(config, "kitaev", "t1_ns"),
-                              n_steps=config["kitaev"]["n_steps"],
-                              decoherence=decoherence)
-    t1 = si_seconds(config, kind, "t1_us")
-    steps = config[kind]["n_steps"] or fourier_max_steps(t1)
-    if steps == 0:
-        raise ConfigError(f"key 't1_us' in section [{kind}]: "
-                          f"{config[kind]['t1_us']:g} us leaves no step above "
-                          f"the {T_SATURATION * 1e9:g} ns floor")
-    return ProtocolConfig(kind, t1=t1, n_steps=steps, decoherence=decoherence)
+def _protocol_config(kind: str, config: dict, decoherence) -> ProtocolConfig:
+    """Each key of the kind's section, minus its unit suffix, names a
+    ProtocolConfig field; n_steps falls back to [compare]."""
+    fields = {key.removesuffix("_ns").removesuffix("_us"):
+              si_seconds(config, kind, key) for key in config[kind]}
+    fields.setdefault("n_steps", config["compare"]["n_steps"])
+    if kind.startswith("fourier"):
+        max_steps = fourier_max_steps(fields["t1"])
+        if max_steps == 0:
+            raise ConfigError(f"key 't1_us' in section [{kind}]: "
+                              f"{config[kind]['t1_us']:g} us leaves no step "
+                              f"above the {T_SATURATION * 1e9:g} ns floor")
+        fields["n_steps"] = fields["n_steps"] or max_steps
+    return ProtocolConfig(kind, decoherence=decoherence, **fields)
 
 
 def cmd_gain_curve(config: dict, seed: int, flux_axis: bool):
     """First-step expected-gain sweep over the delay time."""
     section = config["gain-curve"]
+    if section["t_min_ns"] > section["t_max_ns"]:
+        raise ConfigError(f"key 't_min_ns' in section [gain-curve]: "
+                          f"{section['t_min_ns']:g} ns exceeds t_max_ns = "
+                          f"{section['t_max_ns']:g} ns")
     prior = prior_from(config).build()
     decoherence = decoherence_from(config)
     if section["prep"] == "balanced":
@@ -108,8 +106,7 @@ def cmd_compare(config: dict, seed: int, flux_axis: bool):
     csv_files = []
     summary = {}
     for kind in section["protocols"]:
-        protocol = _protocol_config(kind, config, decoherence,
-                                    section["n_steps"])
+        protocol = _protocol_config(kind, config, decoherence)
         curve = run_ensemble(EnsembleConfig(protocol=protocol,
                                             n_experiments=section["n_experiments"],
                                             prior=prior_spec, seed=seed))
@@ -151,10 +148,11 @@ def cmd_lama_trace(config: dict, seed: int, flux_axis: bool):
 
     gain_rows = []
     stats = []
-    for i, step in enumerate(traj.steps):
+    for i, (step, t_phi) in enumerate(zip(traj.steps,
+                                          traj.cumulative_times())):
         mean, std = posterior_stats(step.posterior)
-        t_phi = float(traj.cumulative_times()[i])
-        gain_rows.append((i + 1, t_phi * 1e6, step.gain.gain_bits, mean, std))
+        gain_rows.append((i + 1, float(t_phi) * 1e6, step.gain_bits, mean,
+                          std))
         stats.append({"step": i + 1, "outcome": step.outcome,
                       "posterior_mean_rad_per_s": mean,
                       "posterior_std_rad_per_s": std})

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 from scipy.signal import find_peaks
 
 from .bayes import (FieldDistribution, FieldGrid, LN2, PriorSpec, SIGMA_DEFAULT,
-                    expected_gain, gaussian_prior, uniform_prior)
+                    expected_gain, uniform_prior)
 from .core import balanced_state, fourier_gate
 from .decoherence import DecoherenceParams
 from .protocols import ProtocolConfig, run_protocol, schedule_delays
@@ -186,27 +187,23 @@ def oscillation_study(kind: str, variants, sigma: float = SIGMA_DEFAULT,
     for variant in variants:
         if kind == "edge":
             omega_width = float(variant)
-            grid = FieldGrid(-omega_width / 2.0, omega_width / 2.0, m)
-            prior = uniform_prior(grid)
+            prior = uniform_prior(
+                FieldGrid(-omega_width / 2.0, omega_width / 2.0, m))
             # cover >= 8 oscillation periods past the saturation knee
-            t_values = np.linspace(1e-12, 60.0 * np.pi / omega_width, n_t)
-            gain = first_step_gain_curve(prior, t_values)
-            period = estimate_period(t_values, gain)
+            t_max = 60.0 * np.pi / omega_width
+            period_of = estimate_period
         elif kind == "center":
-            center = float(variant)
-            grid = FieldGrid.centered(sigma, 12.0, m, center=center)
-            prior = gaussian_prior(grid, center, sigma)
-            t_values = np.linspace(1e-12, 24.0 * np.pi / abs(center), n_t)
-            gain = first_step_gain_curve(prior, t_values)
-            period = estimate_period(t_values, gain)
+            prior = PriorSpec(float(variant), sigma, 12.0, m).build()
+            t_max = 24.0 * np.pi / abs(float(variant))
+            period_of = estimate_period
         else:
-            m_coarse = int(variant)
-            grid = FieldGrid.centered(sigma, 12.0, m_coarse)
-            prior = gaussian_prior(grid, 0.0, sigma)
-            revival = 2.0 * np.pi / grid.spacing
-            t_values = np.linspace(1e-12, 1.5 * revival, n_t)
-            gain = first_step_gain_curve(prior, t_values)
-            period = estimate_revival_time(t_values, gain, t_min=0.3 * revival)
+            prior = PriorSpec(0.0, sigma, 12.0, int(variant)).build()
+            revival = 2.0 * np.pi / prior.grid.spacing
+            t_max = 1.5 * revival
+            period_of = partial(estimate_revival_time, t_min=0.3 * revival)
+        t_values = np.linspace(1e-12, t_max, n_t)
+        gain = first_step_gain_curve(prior, t_values)
         results.append(OscillationResult(variant=float(variant), t=t_values,
-                                         gain_bits=gain, period=period))
+                                         gain_bits=gain,
+                                         period=period_of(t_values, gain)))
     return results

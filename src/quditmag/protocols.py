@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bayes import (FieldDistribution, GainRecord, ImpossibleOutcomeError,
+from .bayes import (FieldDistribution, ImpossibleOutcomeError, LN2,
                     bayes_update, entropy, T_SATURATION)
 from .core import balanced_state, fourier_gate, xy_state
 from .decoherence import DecoherenceParams, likelihood_grid, outcome_probabilities
@@ -47,8 +47,6 @@ class ProtocolConfig:
     n_steps: int
     dt: float = 0.0              # LAMA only: per-step delay increment
     decoherence: DecoherenceParams = DecoherenceParams.none()
-    alpha: float = 0.0           # XY-prep phases for lama/classical
-    beta: float = 0.0
 
     def __post_init__(self):
         if self.kind not in PROTOCOL_KINDS:
@@ -64,7 +62,7 @@ class StepRecord:
     plan: StepPlan
     outcome: int
     posterior: FieldDistribution
-    gain: GainRecord
+    gain_bits: float             # entropy drop of this step's update
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ class ProtocolTrajectory:
         return np.cumsum([s.plan.delay for s in self.steps])
 
     def cumulative_gain_bits(self) -> np.ndarray:
-        return np.cumsum([s.gain.gain_bits for s in self.steps])
+        return np.cumsum([s.gain_bits for s in self.steps])
 
     def outcomes(self) -> list[int]:
         return [s.outcome for s in self.steps]
@@ -102,10 +100,6 @@ def _fourier_delay(config: ProtocolConfig, i: int) -> float:
     return config.t1 / 3.0 ** (i - 1)
 
 
-def _xy_prep(config: ProtocolConfig, previous_outcomes) -> np.ndarray:
-    return xy_state(config.alpha, config.beta)
-
-
 # XY-plane amplitudes (1/2, 1/sqrt 2, 1/2) of the modified Fourier prep.
 _MODIFIED_AMPS = np.array([0.5, 1.0 / np.sqrt(2), 0.5])
 
@@ -113,8 +107,9 @@ _MODIFIED_AMPS = np.array([0.5, 1.0 / np.sqrt(2), 0.5])
 # The readout is always F_3.  Only the two Fourier prep rules read the
 # outcome history.
 _STEP_RULES = {
-    "lama": (lambda c, i: c.t1 + (i - 1) * c.dt, _xy_prep),
-    "classical": (lambda c, i: c.t1, _xy_prep),
+    "lama": (lambda c, i: c.t1 + (i - 1) * c.dt,
+             lambda c, h: xy_state(0.0, 0.0)),
+    "classical": (lambda c, i: c.t1, lambda c, h: xy_state(0.0, 0.0)),
     "kitaev": (lambda c, i: c.t1 * 3.0 ** (i - 1),
                lambda c, h: balanced_state(3)),
     "fourier": (_fourier_delay,
@@ -164,30 +159,25 @@ def _sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
-                 rng_seed: int, mode: str = "predictive",
-                 true_omega: float | None = None,
+                 rng_seed: int, true_omega: float | None = None,
                  forced_outcomes=None) -> ProtocolTrajectory:
     """Execute a full trajectory of PER steps against the Bayes engine.
 
-    Outcome generation:
+    Outcome source, first that applies:
 
-    * ``predictive``  -- sample from the outcome marginal under the current
-      posterior (the simulation prescription used for all ensemble runs);
-    * ``fixed``       -- sample from P(xi | true_omega, t);
-    * ``forced_outcomes`` overrides sampling with a given outcome list
-      (used to replay specific outcome sets).
+    * ``forced_outcomes`` -- replay the given outcome list;
+    * ``true_omega``      -- sample from P(xi | true_omega, t);
+    * otherwise           -- sample from the outcome marginal under the
+      current posterior (the simulation prescription of all ensemble runs).
 
-    Deterministic given (config, prior, rng_seed, mode).
+    Deterministic given its arguments.
     """
-    if mode not in ("predictive", "fixed"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "fixed" and true_omega is None:
-        raise ValueError("fixed mode requires true_omega")
     if forced_outcomes is not None and len(forced_outcomes) < config.n_steps:
         raise ValueError("forced outcome list shorter than n_steps")
 
     rng = np.random.default_rng(rng_seed)
     dist = prior
+    s_before = entropy(dist)
     steps: list[StepRecord] = []
     outcomes: list[int] = []
     for i in range(1, config.n_steps + 1):
@@ -196,19 +186,19 @@ def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
                               dist.grid.points, config.decoherence)
         if forced_outcomes is not None:
             xi = int(forced_outcomes[i - 1])
-        elif mode == "predictive":
-            xi = _sample_outcome(dist.weights @ lik, rng)
-        else:
+        elif true_omega is not None:
             xi = _sample_outcome(
                 outcome_probabilities(plan.prep, plan.delay, plan.readout,
                                       true_omega, config.decoherence), rng)
-        s_before = entropy(dist)
+        else:
+            xi = _sample_outcome(dist.weights @ lik, rng)
         try:
             dist = bayes_update(dist, lik[:, xi])
         except ImpossibleOutcomeError as err:
             raise ImpossibleOutcomeError(f"step {i}: {err}") from err
-        record = GainRecord(step_index=i, entropy_before=s_before,
-                            entropy_after=entropy(dist))
-        steps.append(StepRecord(plan=plan, outcome=xi, posterior=dist, gain=record))
+        s_after = entropy(dist)
+        steps.append(StepRecord(plan=plan, outcome=xi, posterior=dist,
+                                gain_bits=(s_before - s_after) / LN2))
         outcomes.append(xi)
+        s_before = s_after
     return ProtocolTrajectory(steps=steps)

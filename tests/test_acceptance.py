@@ -102,7 +102,7 @@ def test_criterion_5_ternary_recovery(criterion):
     min_peak = 1.0
     all_exact = True
     for idx in range(27):
-        traj = run_protocol(config, prior, rng_seed=idx, mode="fixed",
+        traj = run_protocol(config, prior, rng_seed=idx,
                             true_omega=grid.points[idx])
         final = traj.steps[-1].posterior
         min_peak = min(min_peak, float(final.weights.max()))

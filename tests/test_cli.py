@@ -93,6 +93,13 @@ def test_csv_cells_use_fixed_notation(tmp_path):
     pytest.param("compare", "[compare]\nprotocols = fourier\n"
                  "[fourier]\nt1_us = 0.01\n[prior]\ngrid_points = 1024\n",
                  [], "t1_us", id="fourier-t1-below-floor"),
+    pytest.param("compare", "[compare]\nprotocols = fourier\n"
+                 "[fourier]\nt1_us = 0.01\nn_steps = 2\n"
+                 "[prior]\ngrid_points = 1024\n",
+                 [], "t1_us", id="fourier-t1-below-floor-explicit-steps"),
+    pytest.param("gain-curve", "[gain-curve]\nt_min_ns = 90\n"
+                 "t_max_ns = 30\nn_t = 3\n[prior]\ngrid_points = 64\n",
+                 [], "t_min_ns", id="t-min-above-t-max"),
     pytest.param("gain-curve", "[gain-curve]\nn_t = 5\n"
                  "[prior]\nsigma_rad_per_s = inf\n", [], "sigma_rad_per_s",
                  id="infinite-sigma"),
@@ -205,6 +212,49 @@ coherence_time_us = 5
     assert len(kitaev_rows) == 4
     manifest = json.load(open(os.path.join(out, "compare.json")))
     assert set(manifest["summary"]["protocols"]) == {"classical", "kitaev"}
+
+
+def test_compare_all_kinds_follow_their_schedules(tmp_path):
+    """Every kind's section keys reach its schedule; n_steps comes from the
+    kind's section, from [compare], or (Fourier, 0) from the 15 ns floor."""
+    cfg = write(tmp_path, "cmp.ini", """
+[compare]
+protocols = lama, classical, kitaev, fourier, fourier_modified
+n_steps = 4
+n_experiments = 2
+
+[lama]
+t1_ns = 20
+dt_ns = 10
+
+[kitaev]
+n_steps = 3
+
+[fourier]
+t1_us = 1.2
+n_steps = 2
+
+[fourier_modified]
+t1_us = 0.5
+
+[prior]
+grid_points = 1024
+""")
+    out = str(tmp_path / "cmp_all")
+    assert main(["compare", "--config", cfg, "--out", out]) == 0
+    delays_ns = {
+        "lama": [20, 30, 40, 50],
+        "classical": [15, 15, 15, 15],
+        "kitaev": [15, 45, 135],
+        "fourier": [1200, 400],
+        # 0.5 us / 3^(i-1) while above 15 ns: 4 steps
+        "fourier_modified": [500, 500 / 3, 500 / 9, 500 / 27],
+    }
+    for kind, delays in delays_ns.items():
+        _, rows = read_csv(os.path.join(out, f"compare_{kind}.csv"))
+        assert [int(r[0]) for r in rows] == list(range(1, len(delays) + 1))
+        t_phi_us = [float(r[1]) for r in rows]
+        assert t_phi_us == pytest.approx(np.cumsum(delays) * 1e-3, rel=1e-11)
 
 
 def test_oscillations_edge_period_ratio(tmp_path):
