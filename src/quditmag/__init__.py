@@ -12,7 +12,8 @@ from .bayes import (FieldDistribution, FieldGrid, ImpossibleOutcomeError,
                     PriorSpec, SIGMA_DEFAULT, T_SATURATION, bayes_update,
                     differential_entropy, entropy, expected_gain,
                     gaussian_prior, posterior_stats, uniform_prior)
-from .config import (ConfigError, decoherence_from, load_config, prior_from)
+from .config import (ConfigError, decoherence_from, load_config, prior_from,
+                     protocol_from)
 from .core import (PulseParams, SpinProjection, balanced_state, fourier_gate,
                    phase_evolution, pulse_unitary, spin_xy_projection,
                    xy_state)

@@ -20,21 +20,18 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bayes import ImpossibleOutcomeError, T_SATURATION, posterior_stats
+from .bayes import ImpossibleOutcomeError, posterior_stats
 from .config import (ConfigError, decoherence_from, load_config, prior_from,
-                     si_seconds)
+                     protocol_from, si_seconds)
 from .core import balanced_state, fourier_gate, spin_xy_projection, xy_state
 from .harness import (EnsembleConfig, first_step_gain_curve,
                       oscillation_study, run_ensemble, sliding_alpha)
 from .optimizer import optimize_step_params
-from .protocols import ProtocolConfig, fourier_max_steps, run_protocol
+from .protocols import ProtocolConfig, run_protocol
 
 # Display-only conversion factor between the reduced field (rad/s) and the
 # flux axis used for presentation; enabled with --flux-axis.
 FLUX_SCALE = 1.0e5
-
-PAPER_SCALE_GRID_POINTS = 100_000
-PAPER_SCALE_EXPERIMENTS = 1000
 
 
 def _fmt(value) -> str:
@@ -56,22 +53,6 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", newline="\n") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _protocol_config(kind: str, config: dict, decoherence) -> ProtocolConfig:
-    """Each key of the kind's section, minus its unit suffix, names a
-    ProtocolConfig field; n_steps falls back to [compare]."""
-    fields = {key.removesuffix("_ns").removesuffix("_us"):
-              si_seconds(config, kind, key) for key in config[kind]}
-    fields.setdefault("n_steps", config["compare"]["n_steps"])
-    if kind.startswith("fourier"):
-        max_steps = fourier_max_steps(fields["t1"])
-        if max_steps == 0:
-            raise ConfigError(f"key 't1_us' in section [{kind}]: "
-                              f"{config[kind]['t1_us']:g} us leaves no step "
-                              f"above the {T_SATURATION * 1e9:g} ns floor")
-        fields["n_steps"] = fields["n_steps"] or max_steps
-    return ProtocolConfig(kind, decoherence=decoherence, **fields)
 
 
 def cmd_gain_curve(config: dict, seed: int, flux_axis: bool):
@@ -101,12 +82,11 @@ def cmd_gain_curve(config: dict, seed: int, flux_axis: bool):
 def cmd_compare(config: dict, seed: int, flux_axis: bool):
     """Ensemble gain curves for several protocols plus scaling fits."""
     section = config["compare"]
-    decoherence = decoherence_from(config)
     prior_spec = prior_from(config)
     csv_files = []
     summary = {}
     for kind in section["protocols"]:
-        protocol = _protocol_config(kind, config, decoherence)
+        protocol = protocol_from(config, kind)
         curve = run_ensemble(EnsembleConfig(protocol=protocol,
                                             n_experiments=section["n_experiments"],
                                             prior=prior_spec, seed=seed))
@@ -235,10 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the seed from the config")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--paper-scale", action="store_true",
-                         help="full-resolution settings (slow): "
-                              f"{PAPER_SCALE_GRID_POINTS} grid points, "
-                              f"{PAPER_SCALE_EXPERIMENTS} experiments")
         cmd.add_argument("--flux-axis", action="store_true",
                          help="report field axes in display flux units")
     return parser
@@ -248,10 +224,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.command)
-        if args.paper_scale:
-            config["prior"]["grid_points"] = PAPER_SCALE_GRID_POINTS
-            if "compare" in config:
-                config["compare"]["n_experiments"] = PAPER_SCALE_EXPERIMENTS
         seed = args.seed if args.seed is not None else config["run"]["seed"]
         if seed < 0:
             raise ConfigError(f"--seed: expected a non-negative integer, "

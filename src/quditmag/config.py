@@ -2,12 +2,13 @@
 
 Run settings live in a line-oriented INI file (``key = value`` under
 ``[section]`` headers).  Every physical quantity carries an explicit unit
-suffix in its key name (``_ns``, ``_us``, ``_rad``, ``_rad_per_s``) and is
-converted to SI on load.  Parsing is strict: an unknown section, an unknown
-key, an unparsable value or a missing required key raises ``ConfigError``
-with a diagnostic naming the offender.  ``load_config`` returns a nested
-dict with every default materialized, so the resolved config serialized
-into a run manifest is sufficient to reproduce the run.
+suffix in its key name (``_ns``, ``_us``, ``_rad``, ``_rad_per_s``).
+Parsing is strict: an unknown section, an unknown key, an unparsable or
+out-of-bounds value or a missing required key raises ``ConfigError`` with a
+diagnostic naming the offender.  ``load_config`` returns a nested dict with
+every default materialized, so the resolved config serialized into a run
+manifest is sufficient to reproduce the run.  ``prior_from``,
+``decoherence_from`` and ``protocol_from`` build model objects from it in SI.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 import configparser
 import math
 
-from .bayes import SIGMA_DEFAULT, PriorSpec
+from .bayes import SIGMA_DEFAULT, T_SATURATION, PriorSpec
 from .decoherence import DecoherenceParams
+from .protocols import ProtocolConfig, fourier_max_steps
 
 REQUIRED = object()
 
@@ -27,70 +29,28 @@ class ConfigError(Exception):
     """Invalid or malformed run configuration."""
 
 
-def _number(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {raw!r}")
-    if math.isnan(value):
-        raise ConfigError("NaN is not a valid value")
-    return value
+def _number(kind=float, low=-math.inf, high=math.inf, *, above=-math.inf,
+            inf=False):
+    """Parser for one ``kind`` (float or int) with low <= value <= high and
+    value > above.  NaN never parses; +-inf only where ``inf`` is set."""
+    noun = "an integer" if kind is int else "a number"
 
-
-def _float(raw: str) -> float:
-    value = _number(raw)
-    if math.isinf(value):
-        raise ConfigError(f"expected a finite number, got {raw!r}")
-    return value
-
-
-def _positive_float(raw: str) -> float:
-    value = _float(raw)
-    if not value > 0:
-        raise ConfigError(f"expected a positive number, got {raw!r}")
-    return value
-
-
-def _positive_float_or_inf(raw: str) -> float:
-    value = _number(raw)
-    if not value > 0:
-        raise ConfigError(f"expected a positive number, got {raw!r}")
-    return value
-
-
-def _nonneg_float(raw: str) -> float:
-    value = _float(raw)
-    if value < 0:
-        raise ConfigError(f"expected a non-negative number, got {raw!r}")
-    return value
-
-
-def _int(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {raw!r}")
-
-
-def _positive_int(raw: str) -> int:
-    value = _int(raw)
-    if value < 1:
-        raise ConfigError(f"expected a positive integer, got {raw!r}")
-    return value
-
-
-def _nonneg_int(raw: str) -> int:
-    value = _int(raw)
-    if value < 0:
-        raise ConfigError(f"expected a non-negative integer, got {raw!r}")
-    return value
-
-
-def _grid_size(raw: str) -> int:
-    value = _int(raw)
-    if value < 2:
-        raise ConfigError(f"expected a grid size of at least 2, got {raw!r}")
-    return value
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ConfigError(f"expected {noun}, got {raw!r}")
+        if value != value:            # math.isnan overflows on huge ints
+            raise ConfigError("NaN is not a valid value")
+        if abs(value) == math.inf and not inf:
+            raise ConfigError(f"expected a finite number, got {raw!r}")
+        if not value > above:
+            raise ConfigError(f"expected {noun} above {above:g}, got {raw!r}")
+        if not low <= value <= high:
+            raise ConfigError(f"expected {noun} in [{low:g}, {high:g}], "
+                              f"got {raw!r}")
+        return value
+    return parse
 
 
 def _choice(*options):
@@ -108,80 +68,73 @@ def _list_of(item_parser):
     return parse
 
 
-def _outcome_list(raw: str) -> tuple:
-    outcomes = _list_of(_int)(raw)
-    for xi in outcomes:
-        if xi not in (0, 1, 2):
-            raise ConfigError(f"outcomes must be trits (0, 1 or 2), got {xi}")
-    return outcomes
-
-
 # Sections shared by every command.
 _SHARED_SCHEMA = {
     "run": {
-        "seed": (_nonneg_int, 0),
+        "seed": (_number(int, 0), 0),
     },
     "prior": {
-        "mean_rad_per_s": (_float, 0.0),
-        "sigma_rad_per_s": (_positive_float, SIGMA_DEFAULT),
-        "span_sigmas": (_positive_float, 12.0),
-        "grid_points": (_grid_size, 8192),
+        "mean_rad_per_s": (_number(), 0.0),
+        "sigma_rad_per_s": (_number(above=0), SIGMA_DEFAULT),
+        "span_sigmas": (_number(above=0), 12.0),
+        "grid_points": (_number(int, 2), 8192),
     },
     "decoherence": {
         # inf means a fully coherent sensor (no relaxation or dephasing)
-        "coherence_time_us": (_positive_float_or_inf, math.inf),
+        "coherence_time_us": (_number(above=0, inf=True), math.inf),
     },
 }
 
 _PROTOCOL_SCHEMA = {
-    "lama": {"t1_ns": (_positive_float, 15.0), "dt_ns": (_nonneg_float, 40.0)},
-    "classical": {"t1_ns": (_positive_float, 15.0)},
-    "kitaev": {"t1_ns": (_positive_float, 15.0), "n_steps": (_positive_int, 8)},
-    "fourier": {"t1_us": (_positive_float, 2.4), "n_steps": (_nonneg_int, 0)},
-    "fourier_modified": {"t1_us": (_positive_float, 2.4), "n_steps": (_nonneg_int, 0)},
+    "lama": {"t1_ns": (_number(above=0), 15.0), "dt_ns": (_number(low=0), 40.0)},
+    "classical": {"t1_ns": (_number(above=0), 15.0)},
+    "kitaev": {"t1_ns": (_number(above=0), 15.0), "n_steps": (_number(int, 1), 8)},
+    "fourier": {"t1_us": (_number(above=0), 2.4), "n_steps": (_number(int, 0), 0)},
+    "fourier_modified": {"t1_us": (_number(above=0), 2.4),
+                         "n_steps": (_number(int, 0), 0)},
 }
 
 COMMAND_SCHEMAS = {
     "gain-curve": {
         "gain-curve": {
             "prep": (_choice("balanced", "xy"), "xy"),
-            "alpha_rad": (_float, 0.0),
-            "beta_rad": (_float, 0.0),
-            "t_min_ns": (_nonneg_float, 0.0),
-            "t_max_ns": (_positive_float, 75.0),
-            "n_t": (_nonneg_int, 150),
+            "alpha_rad": (_number(), 0.0),
+            "beta_rad": (_number(), 0.0),
+            "t_min_ns": (_number(low=0), 0.0),
+            "t_max_ns": (_number(above=0), 75.0),
+            "n_t": (_number(int, 0), 150),
         },
     },
     "compare": {
         "compare": {
             "protocols": (_list_of(_choice(*_PROTOCOL_SCHEMA)),
                           ("lama", "classical", "kitaev")),
-            "n_steps": (_positive_int, 50),
-            "n_experiments": (_positive_int, 200),
+            "n_steps": (_number(int, 1), 50),
+            "n_experiments": (_number(int, 1), 200),
         },
         **_PROTOCOL_SCHEMA,
     },
     "lama-trace": {
         "lama-trace": {
-            "t1_ns": (_positive_float, 15.0),
-            "dt_ns": (_nonneg_float, 40.0),
-            "outcomes": (_outcome_list, REQUIRED),
+            "t1_ns": (_number(above=0), 15.0),
+            "dt_ns": (_number(low=0), 40.0),
+            "outcomes": (_list_of(_number(int, 0, 2)), REQUIRED),
         },
     },
     "oscillations": {
         "oscillations": {
             "kind": (_choice("edge", "center", "discreteness"), REQUIRED),
-            "variants_rad_per_s": (_list_of(_positive_float), ()),
-            "variants_points": (_list_of(_grid_size), ()),
-            "n_t": (_positive_int, 1500),
-            "grid_points": (_grid_size, 4096),
+            "variants_rad_per_s": (_list_of(_number(above=0)), ()),
+            "variants_points": (_list_of(_number(int, 2)), ()),
+            "n_t": (_number(int, 1), 1500),
+            "grid_points": (_number(int, 2), 4096),
         },
     },
     "optimize": {
         "optimize": {
-            "t_ns": (_list_of(_positive_float), (15.0, 75.0)),
-            "budget": (_positive_int, 600),
-            "n_starts": (_positive_int, 10),
+            "t_ns": (_list_of(_number(above=0)), (15.0, 75.0)),
+            "budget": (_number(int, 1), 600),
+            "n_starts": (_number(int, 1), 10),
             "readout": (_choice("fourier", "free"), "free"),
         },
     },
@@ -194,15 +147,15 @@ def schema_for(command: str) -> dict:
     return {**_SHARED_SCHEMA, **COMMAND_SCHEMAS[command]}
 
 
-def _to_si(key: str, value):
-    """Convert a unit-suffixed scalar or tuple to SI (seconds stay seconds,
-    rad and rad/s are already SI)."""
+def _to_si(key: str, value) -> tuple:
+    """(key minus its time-unit suffix, value in seconds) for a scalar or
+    tuple; other keys keep their value (rad and rad/s are already SI)."""
     for suffix, factor in _UNIT_FACTORS.items():
         if key.endswith(suffix):
             if isinstance(value, tuple):
-                return tuple(v * factor for v in value)
-            return value * factor
-    return value
+                return key.removesuffix(suffix), tuple(v * factor for v in value)
+            return key.removesuffix(suffix), value * factor
+    return key, value
 
 
 def load_config(path: str, command: str) -> dict:
@@ -262,4 +215,23 @@ def decoherence_from(config: dict) -> DecoherenceParams:
 
 def si_seconds(config: dict, section: str, key: str) -> float:
     """Value of a unit-suffixed time key converted to seconds."""
-    return _to_si(key, config[section][key])
+    return _to_si(key, config[section][key])[1]
+
+
+def protocol_from(config: dict, kind: str) -> ProtocolConfig:
+    """Protocol of one ``compare`` kind: each key of the kind's section, minus
+    its unit suffix, names a ProtocolConfig field; n_steps falls back to
+    [compare].  A Fourier kind's n_steps = 0 means every step above the
+    pulse floor, and no step may fall below it."""
+    fields = dict(_to_si(key, value) for key, value in config[kind].items())
+    fields.setdefault("n_steps", config["compare"]["n_steps"])
+    if kind.startswith("fourier"):
+        max_steps = fourier_max_steps(fields["t1"])
+        fields["n_steps"] = fields["n_steps"] or max_steps
+        if not 1 <= fields["n_steps"] <= max_steps:
+            raise ConfigError(
+                f"keys 't1_us' and 'n_steps' in section [{kind}]: only "
+                f"{max_steps} steps from t1_us = {config[kind]['t1_us']:g} us "
+                f"stay above the {T_SATURATION * 1e9:g} ns floor, n_steps = "
+                f"{config[kind]['n_steps']} (0 for all of them)")
+    return ProtocolConfig(kind, decoherence=decoherence_from(config), **fields)

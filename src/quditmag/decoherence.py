@@ -78,7 +78,7 @@ def _cascade_feed(gamma_10: float, gamma_21: float, t):
     scale = max(gamma_10, gamma_21)
     if scale == 0.0:
         return np.zeros_like(np.asarray(t, dtype=float))
-    if abs(gamma_21 - gamma_10) < _DEGENERATE_RATE_RTOL * scale:
+    if abs(gamma_21 - gamma_10) <= _DEGENERATE_RATE_RTOL * scale:
         return gamma_10 * t * np.exp(-gamma_10 * t)
     return gamma_21 / (gamma_21 - gamma_10) * (np.exp(-gamma_10 * t) - np.exp(-gamma_21 * t))
 

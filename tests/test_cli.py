@@ -97,6 +97,10 @@ def test_csv_cells_use_fixed_notation(tmp_path):
                  "[fourier]\nt1_us = 0.01\nn_steps = 2\n"
                  "[prior]\ngrid_points = 1024\n",
                  [], "t1_us", id="fourier-t1-below-floor-explicit-steps"),
+    pytest.param("compare", "[compare]\nprotocols = fourier\n"
+                 "[fourier]\nt1_us = 0.05\nn_steps = 5\n"
+                 "[prior]\ngrid_points = 1024\n",
+                 [], "n_steps", id="fourier-n-steps-above-floor"),
     pytest.param("gain-curve", "[gain-curve]\nt_min_ns = 90\n"
                  "t_max_ns = 30\nn_t = 3\n[prior]\ngrid_points = 64\n",
                  [], "t_min_ns", id="t-min-above-t-max"),
@@ -117,6 +121,35 @@ def test_malformed_config_exits_2_without_files(tmp_path, capsys, command,
     assert main([command, "--config", cfg, "--out", out, *extra]) == 2
     assert offender in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, section, key, raw, expected", [
+    ("gain-curve", "prior", "grid_points", "2", 2),
+    ("gain-curve", "prior", "grid_points", "1", None),
+    ("gain-curve", "gain-curve", "t_min_ns", "0", 0.0),
+    ("lama-trace", "lama-trace", "t1_ns", "0", None),
+    ("lama-trace", "lama-trace", "dt_ns", "-1", None),
+    ("compare", "fourier", "n_steps", "0", 0),
+    ("compare", "kitaev", "n_steps", "0", None),
+    ("gain-curve", "gain-curve", "n_t", "1.5", None),
+    ("gain-curve", "decoherence", "coherence_time_us", "inf", float("inf")),
+    ("gain-curve", "decoherence", "coherence_time_us", "nan", None),
+    ("lama-trace", "lama-trace", "outcomes", "0, 3", None),
+    ("gain-curve", "prior", "mean_rad_per_s", "-inf", None),
+])
+def test_schema_bounds(tmp_path, command, section, key, raw, expected):
+    """Each key's bounds in the schema: the edge value that parses keeps
+    its type, the one that does not is a ConfigError naming the key."""
+    text = f"[{section}]\n{key} = {raw}\n"
+    if section == "lama-trace" and key != "outcomes":
+        text += "outcomes = 0\n"
+    cfg = write(tmp_path, "bounds.ini", text)
+    if expected is None:
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load_config(cfg, command)
+    else:
+        value = load_config(cfg, command)[section][key]
+        assert value == expected and type(value) is type(expected)
 
 
 def test_unknown_section_rejected(tmp_path):

@@ -1,11 +1,12 @@
 """Physical invariants checked on generated inputs."""
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quditmag.bayes import FieldGrid, SIGMA_DEFAULT, bayes_update, gaussian_prior
 from quditmag.core import pulse_unitary
-from quditmag.decoherence import DecoherenceParams, likelihood_grid
+from quditmag.decoherence import (DecoherenceParams, decohere_channel,
+                                  likelihood_grid)
 
 angles = st.floats(-np.pi, np.pi)
 rates = st.floats(0.0, 3e5)
@@ -61,3 +62,40 @@ def test_bayes_updates_commute(first, second, xi_a, xi_b, m):
     ab = bayes_update(bayes_update(prior, lik_a), lik_b)
     ba = bayes_update(bayes_update(prior, lik_b), lik_a)
     np.testing.assert_allclose(ab.weights, ba.weights, rtol=0, atol=1e-12)
+
+
+@st.composite
+def channel_rates(draw):
+    """Decoherence rates, with gamma_21 == gamma_10 (the degenerate cascade)
+    drawn as often as distinct rates."""
+    gamma_10 = draw(rates)
+    gamma_21 = gamma_10 if draw(st.booleans()) else draw(rates)
+    return DecoherenceParams(gamma_10, gamma_21, draw(rates))
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel_rates(), delays)
+# equal rates so small that the degenerate-rate tolerance underflows to 0
+@example(DecoherenceParams(5e-324, 5e-324, 0.0), 0.0)
+def test_channel_is_cptp(params, t):
+    """Choi matrix of ``decohere_channel``: Hermitian, positive semidefinite
+    and with the identity as its partial trace over the output.  The channel
+    sets rho_00 = 1 - rho_11 - rho_22, so it is affine on trace-one inputs;
+    the linear map on an off-diagonal E_ij is Phi(E_00 + E_ij) - Phi(E_00)."""
+    basis = np.eye(3)
+
+    def unit(i, j):
+        return np.outer(basis[i], basis[j])
+
+    def linear(i, j):
+        if i == j:
+            return decohere_channel(unit(i, i), t, params)
+        return (decohere_channel(unit(0, 0) + unit(i, j), t, params)
+                - decohere_channel(unit(0, 0), t, params))
+
+    blocks = np.array([[linear(i, j) for j in range(3)] for i in range(3)])
+    choi = blocks.transpose(0, 2, 1, 3).reshape(9, 9)
+    np.testing.assert_allclose(choi, choi.conj().T, rtol=0, atol=1e-12)
+    assert np.linalg.eigvalsh(choi).min() >= -1e-12
+    np.testing.assert_allclose(np.einsum("ijaa->ij", blocks), basis,
+                               rtol=0, atol=1e-12)
