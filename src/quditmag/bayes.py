@@ -2,8 +2,8 @@
 
 The continuous field is modelled on an evenly spaced grid; entropies are
 computed in nats from the discrete weights (the ln(spacing) differential
-correction cancels in every information-gain difference and is only added
-when reporting absolute entropies).  Gains are reported in bits.
+correction cancels in every information-gain difference).  Gains are
+reported in bits.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import entr
 
 from .decoherence import DecoherenceParams, likelihood_grid
 
@@ -114,41 +115,27 @@ def bayes_update(dist: FieldDistribution, likelihood) -> FieldDistribution:
     return FieldDistribution(dist.grid, post)
 
 
-def _neg_xlogx_sum(p: np.ndarray) -> float:
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
-
-
 def entropy(dist: FieldDistribution) -> float:
     """Discrete Shannon entropy -sum p ln p in nats."""
-    return _neg_xlogx_sum(dist.weights)
-
-
-def differential_entropy(dist: FieldDistribution) -> float:
-    """Discretization-corrected entropy, entropy + ln(grid spacing); used
-    for reporting only."""
-    return entropy(dist) + np.log(dist.grid.spacing)
+    nz = dist.weights[dist.weights > 0.0]
+    return float(-(nz * np.log(nz)).sum())
 
 
 def expected_gain(dist: FieldDistribution, t: float, prep, readout,
                   params: DecoherenceParams) -> float:
     """Expected information gain (bits) of a prospective measurement.
 
-    Averages the posterior entropy over the three outcomes weighted by their
-    marginal probabilities under the current distribution; summation order
-    is fixed, so the result is deterministic.
+    The mutual information between field and outcome,
+    H(sum_w p(w) P(.|w)) - sum_w p(w) H(P(.|w)), with 0 ln 0 = 0: the
+    entropy of the outcome marginal minus the prior-averaged entropy of
+    each grid point's outcome distribution (Lindley, Ann. Math. Stat. 27,
+    986, 1956).  It equals the expected drop from prior to posterior
+    entropy.  Summation order is fixed, so the result is deterministic.
     """
     lik = likelihood_grid(prep, t, readout, dist.grid.points, params)  # (m, 3)
-    joint = dist.weights[:, None] * lik
-    marginals = joint.sum(axis=0)
-    s_now = entropy(dist)
-    s_expected = 0.0
-    for xi in range(3):
-        if marginals[xi] <= 0.0:
-            continue
-        post = joint[:, xi] / marginals[xi]
-        s_expected += marginals[xi] * _neg_xlogx_sum(post)
-    return (s_now - s_expected) / LN2
+    h_outcome = entr(dist.weights @ lik).sum()
+    h_outcome_given_field = dist.weights @ entr(lik).sum(axis=1)
+    return (h_outcome - h_outcome_given_field) / LN2
 
 
 def posterior_stats(dist: FieldDistribution) -> tuple[float, float]:

@@ -223,6 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        existing = os.path.abspath(args.out)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ConfigError(f"--out: {existing!r} is not a directory")
         config = load_config(args.config, args.command)
         seed = args.seed if args.seed is not None else config["run"]["seed"]
         if seed < 0:

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-UNITARITY_TOL = 1e-12
-
 # Spin-1 operators in the computational basis (hbar = 1).
 J_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2)
 J_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / np.sqrt(2)
@@ -66,21 +64,6 @@ def fourier_gate(d: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
 
 
-def phase_evolution(omega: float, t: float, d: int = 3) -> np.ndarray:
-    """Free evolution under the field: diag(1, e^{-i w t}, ..., e^{-i(d-1) w t}).
-
-    The k-th level accumulates phase k*omega*t (global phase dropped); the
-    overall sign convention is fixed here and used consistently everywhere.
-    Outcome probabilities only ever depend on the convention through a
-    relabeling of the measurement outcomes.
-    """
-    if t < 0:
-        raise ValueError(f"delay time must be non-negative, got {t}")
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
-    return np.diag(np.exp(-1j * omega * t * np.arange(d)))
-
-
 def pulse_hamiltonian(eps: float, delta1: float, delta2: float) -> np.ndarray:
     """Effective Hamiltonian of the two-tone rectangular rf-pulse."""
     return np.array([[0.0, delta1, 0.0],
@@ -117,9 +100,3 @@ def spin_xy_projection(state) -> SpinProjection:
     jx = float(np.real(state.conj() @ (J_X @ state)))
     jy = float(np.real(state.conj() @ (J_Y @ state)))
     return SpinProjection(jx=jx, jy=jy)
-
-
-def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    u = np.asarray(u)
-    d = u.shape[0]
-    return bool(np.all(np.abs(u @ u.conj().T - np.eye(d)) < tol))

@@ -49,7 +49,6 @@ class GainCurve:
 class ScalingEstimate:
     alpha: float
     window: tuple[float, float]
-    fit_residual: float
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,8 @@ def scaling_exponent(curve: GainCurve, window: tuple[float, float]) -> ScalingEs
         raise ValueError("scaling window must contain at least 4 points")
     x = np.log(curve.t_phi[mask])
     y = curve.mean_gain_bits[mask] * LN2
-    coeffs, residuals, *_ = np.polyfit(x, y, 1, full=True)
-    resid = float(residuals[0]) if len(residuals) else 0.0
-    return ScalingEstimate(alpha=float(coeffs[0]), window=(t_lo, t_hi),
-                           fit_residual=resid)
+    coeffs = np.polyfit(x, y, 1)
+    return ScalingEstimate(alpha=float(coeffs[0]), window=(t_lo, t_hi))
 
 
 def sliding_alpha(curve: GainCurve, center_range: tuple[float, float],

@@ -24,7 +24,7 @@ import numpy as np
 from .bayes import (FieldDistribution, ImpossibleOutcomeError, LN2,
                     bayes_update, entropy, T_SATURATION)
 from .core import balanced_state, fourier_gate, xy_state
-from .decoherence import DecoherenceParams, likelihood_grid, outcome_probabilities
+from .decoherence import DecoherenceParams, likelihood_grid
 
 
 @dataclass(frozen=True)
@@ -145,13 +145,6 @@ def fourier_max_steps(t1: float, t_floor: float = T_SATURATION) -> int:
     return max(n, 0)
 
 
-def kitaev_max_steps(t1: float, t_ceiling: float) -> int:
-    """Number of Kitaev steps with delay at most t_ceiling."""
-    if t_ceiling < t1:
-        return 0
-    return int(np.floor(np.log(t_ceiling / t1) / np.log(3.0))) + 1
-
-
 def _sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
@@ -188,8 +181,8 @@ def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
             xi = int(forced_outcomes[i - 1])
         elif true_omega is not None:
             xi = _sample_outcome(
-                outcome_probabilities(plan.prep, plan.delay, plan.readout,
-                                      true_omega, config.decoherence), rng)
+                likelihood_grid(plan.prep, plan.delay, plan.readout,
+                                [true_omega], config.decoherence)[0], rng)
         else:
             xi = _sample_outcome(dist.weights @ lik, rng)
         try:

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import differential_entropy
 from quditmag.bayes import (FieldDistribution, FieldGrid,
                             ImpossibleOutcomeError, SIGMA_DEFAULT,
-                            T_SATURATION, bayes_update, differential_entropy,
-                            entropy, expected_gain, gaussian_prior,
-                            posterior_stats, uniform_prior)
+                            T_SATURATION, bayes_update, entropy,
+                            expected_gain, gaussian_prior, posterior_stats,
+                            uniform_prior)
 from quditmag.core import balanced_state, fourier_gate, xy_state
 from quditmag.decoherence import DecoherenceParams
 

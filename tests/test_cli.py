@@ -123,6 +123,21 @@ def test_malformed_config_exits_2_without_files(tmp_path, capsys, command,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("out", ["taken", os.path.join("taken", "sub")])
+def test_out_under_a_file_exits_2_before_computing(tmp_path, capsys, out):
+    """An --out that is, or lies under, an existing file is a config error
+    raised before any computation; nothing is written."""
+    cfg = write(tmp_path, "gc.ini", GAIN_CURVE_INI.format(prep="xy", n_t=3))
+    taken = write(tmp_path, "taken", "keep me\n")
+    before = sorted(os.listdir(tmp_path))
+    assert main(["gain-curve", "--config", cfg, "--out",
+                 str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: ") and err.count("\n") == 1
+    assert open(taken).read() == "keep me\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 @pytest.mark.parametrize("command, section, key, raw, expected", [
     ("gain-curve", "prior", "grid_points", "2", 2),
     ("gain-curve", "prior", "grid_points", "1", None),

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import is_unitary, phase_evolution
 from quditmag.core import (PulseParams, balanced_state, fourier_gate,
-                           is_unitary, phase_evolution, pulse_unitary,
-                           spin_xy_projection, xy_state)
+                           pulse_unitary, spin_xy_projection, xy_state)
 
 
 def test_fourier_gate_matches_printed_matrix():

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from quditmag.core import balanced_state, fourier_gate, phase_evolution
+from oracles import (dephased_fourier_prob, is_density_matrix,
+                     lindblad_oracle, phase_evolution)
+from quditmag.core import balanced_state, fourier_gate
 from quditmag.decoherence import (DecoherenceParams, decohere_channel,
-                                  dephased_fourier_prob, is_density_matrix,
-                                  likelihood_grid, lindblad_oracle,
-                                  outcome_probabilities)
+                                  likelihood_grid)
 
 T_C = 5e-6
 
@@ -120,16 +120,16 @@ def test_oracle_rejects_invalid_input():
 
 
 def test_outcome_probabilities_zero_delay():
-    probs = outcome_probabilities(balanced_state(3), 0.0, fourier_gate(3),
-                                  1e6, DecoherenceParams.from_coherence_time(T_C))
+    probs = likelihood_grid(balanced_state(3), 0.0, fourier_gate(3), [1e6],
+                            DecoherenceParams.from_coherence_time(T_C))[0]
     assert np.allclose(probs, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_outcome_probabilities_coherent_closed_form():
     """Zero rates: three-term cosine expansion with unit envelopes."""
     omega, t = 4.2e5, 1.7e-6
-    probs = outcome_probabilities(balanced_state(3), t, fourier_gate(3),
-                                  omega, DecoherenceParams.none())
+    probs = likelihood_grid(balanced_state(3), t, fourier_gate(3), [omega],
+                            DecoherenceParams.none())[0]
     for xi in range(3):
         expected = (1.0 / 3.0
                     + (4.0 / 9.0) * np.cos(omega * t + 2.0 * np.pi * xi / 3.0)
@@ -138,8 +138,8 @@ def test_outcome_probabilities_coherent_closed_form():
 
 
 def test_outcome_probabilities_fully_dephased():
-    probs = outcome_probabilities(balanced_state(3), 50.0 * T_C, fourier_gate(3),
-                                  1e5, DecoherenceParams.from_coherence_time(T_C))
+    probs = likelihood_grid(balanced_state(3), 50.0 * T_C, fourier_gate(3),
+                            [1e5], DecoherenceParams.from_coherence_time(T_C))[0]
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-6)
 
 
@@ -169,8 +169,8 @@ def test_dephased_closed_form_matches_channel():
         params = DecoherenceParams(*rng.uniform(0.0, 2e5, size=3))
         omega = rng.uniform(-1e7, 1e7)
         t = rng.uniform(0.0, 5e-6)
-        probs = outcome_probabilities(balanced_state(3), t, fourier_gate(3),
-                                      omega, params)
+        probs = likelihood_grid(balanced_state(3), t, fourier_gate(3),
+                                [omega], params)[0]
         for xi in range(3):
             assert dephased_fourier_prob(xi, omega, t, params) == \
                 pytest.approx(probs[xi], abs=1e-9)

@@ -3,8 +3,10 @@
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from quditmag.bayes import FieldGrid, SIGMA_DEFAULT, bayes_update, gaussian_prior
-from quditmag.core import pulse_unitary
+from oracles import entropy_difference_gain
+from quditmag.bayes import (FieldGrid, SIGMA_DEFAULT, bayes_update,
+                            expected_gain, gaussian_prior)
+from quditmag.core import balanced_state, fourier_gate, pulse_unitary
 from quditmag.decoherence import (DecoherenceParams, decohere_channel,
                                   likelihood_grid)
 
@@ -62,6 +64,21 @@ def test_bayes_updates_commute(first, second, xi_a, xi_b, m):
     ab = bayes_update(bayes_update(prior, lik_a), lik_b)
     ba = bayes_update(bayes_update(prior, lik_b), lik_a)
     np.testing.assert_allclose(ab.weights, ba.weights, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(measurements(), st.integers(2, 512))
+# balanced prep and F_3 at t = 0: outcome 0 is certain, so two marginals
+# are exactly zero, the outcomes the entropy-difference form skips
+@example((balanced_state(3), fourier_gate(3), 0.0, DecoherenceParams()), 64)
+def test_expected_gain_is_the_entropy_difference(measurement, m):
+    """The mutual-information gain equals the expected drop from prior to
+    posterior entropy, computed outcome by outcome."""
+    prep, readout, t, params = measurement
+    prior = gaussian_prior(FieldGrid.centered(SIGMA_DEFAULT, 12.0, m))
+    gain = expected_gain(prior, t, prep, readout, params)
+    reference = entropy_difference_gain(prior, t, prep, readout, params)
+    assert abs(gain - reference) <= 1e-12
 
 
 @st.composite

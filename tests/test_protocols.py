@@ -7,10 +7,10 @@ from quditmag.bayes import (FieldGrid, SIGMA_DEFAULT, T_SATURATION, entropy,
                             gaussian_prior, uniform_prior)
 from quditmag.core import balanced_state, fourier_gate, xy_state
 from quditmag.decoherence import DecoherenceParams
+from oracles import kitaev_max_steps
 from quditmag.protocols import (PROTOCOL_KINDS, ProtocolConfig,
                                 fourier_feedback_phase, fourier_max_steps,
-                                kitaev_max_steps, plan_step, run_protocol,
-                                schedule_delays)
+                                plan_step, run_protocol, schedule_delays)
 
 
 @pytest.fixture(scope="module")
