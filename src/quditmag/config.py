@@ -61,10 +61,13 @@ def _choice(*options):
     return parse
 
 
-def _list_of(item_parser):
+def _list_of(item_parser, distinct=False):
     def parse(raw: str) -> tuple:
         items = [piece.strip() for piece in raw.split(",") if piece.strip()]
-        return tuple(item_parser(piece) for piece in items)
+        values = tuple(item_parser(piece) for piece in items)
+        if distinct and len(set(values)) < len(values):
+            raise ConfigError(f"expected distinct entries, got {raw!r}")
+        return values
     return parse
 
 
@@ -107,7 +110,8 @@ COMMAND_SCHEMAS = {
     },
     "compare": {
         "compare": {
-            "protocols": (_list_of(_choice(*_PROTOCOL_SCHEMA)),
+            # one compare_<kind>.csv per entry
+            "protocols": (_list_of(_choice(*_PROTOCOL_SCHEMA), distinct=True),
                           ("lama", "classical", "kitaev")),
             "n_steps": (_number(int, 1), 50),
             "n_experiments": (_number(int, 1), 200),

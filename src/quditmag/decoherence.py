@@ -4,7 +4,28 @@
 density matrix: a two-level cascade on the populations plus exponential
 damping of each coherence.  ``likelihood_grid`` pushes a prep state through
 the field phases, this channel and the readout to the outcome
-probabilities on a whole field grid.
+probabilities on a whole field grid of m points, in this order:
+
+1. psi_k = prep_k e^{-i k omega t}, with the phases for k = 1, 2 built from
+   ``np.cos`` and ``np.sin`` of (omega k) t, and the k = 0 phase exactly 1;
+2. rho_t[omega, q, p] = psi_p conj(psi_q), the density matrix transposed,
+   written as nine contiguous (m,) products into one (m, 3, 3) array;
+3. ``decohere_channel`` on rho_t (the map commutes with the transpose);
+4. amp = rho_t as (3m, 3) @ R^T, then P[x, omega] = conj(R)[x, None, :] @
+   amp viewed as [x, q, omega]: the two matmuls that
+   ``np.einsum("xp,mpq,xq->mx", R, rho, conj(R), optimize=True)`` runs,
+   without its path search and its transposing copy of rho;
+5. the real part clipped to [0, 1], returned as the (m, 3) transpose of
+   that (3, m) array, so Fortran-ordered.
+
+The result equals the earlier einsum kernel (``tests/oracles.py``) byte for
+byte, strides included, under numpy 2.4 with OpenBLAS 0.3.31; a property
+test holds it to that.  Exactness is the contract because the benchmark's
+lama-trace references compare a posterior mean that is rounding noise at
+atol 1e-12, so reordering any rounding here (operand order included: a
+complex product with FMA is not symmetric in its operands) changes a
+recorded output.  A kernel with other arithmetic, such as the harmonic
+form, needs that check scaled to the grid first (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -66,48 +87,64 @@ def decohere_channel(pi, t: float, params: DecoherenceParams):
 
     ``pi`` is the qutrit state after unitary-only evolution for time ``t``
     (field phases already applied); broadcasting over leading axes is
-    supported, so ``pi`` may be shaped (..., 3, 3).
+    supported, so ``pi`` may be shaped (..., 3, 3).  Every entry is scaled
+    by its envelope (a population by its own decay), level 1 then gains
+    the cascade feed from level 2 and rho_00 takes up the trace.  The
+    envelope matrix is symmetric, so the map commutes with transposing the
+    last two axes.
     """
     if t < 0:
         raise ValueError(f"delay time must be non-negative, got {t}")
     pi = np.asarray(pi, dtype=complex)
     g10, g21, gphi = params.gamma_10, params.gamma_21, params.gamma_phi
 
-    e10 = np.exp(-g10 * t)
-    e21 = np.exp(-g21 * t)
-    e01c = np.exp(-(g10 + gphi) * t / 2.0)
-    e02c = np.exp(-(g21 + 4.0 * gphi) * t / 2.0)
-    e12c = np.exp(-(g21 + g10 + gphi) * t / 2.0)
+    e01 = np.exp(-(g10 + gphi) * t / 2.0)
+    e02 = np.exp(-(g21 + 4.0 * gphi) * t / 2.0)
+    e12 = np.exp(-(g21 + g10 + gphi) * t / 2.0)
+    envelope = np.array([[1.0, e01, e02],
+                         [e01, np.exp(-g10 * t), e12],
+                         [e02, e12, np.exp(-g21 * t)]])
 
-    rho = np.empty_like(pi)
-    rho[..., 2, 2] = pi[..., 2, 2] * e21
-    rho[..., 1, 1] = pi[..., 1, 1] * e10 + pi[..., 2, 2] * _cascade_feed(g10, g21, t)
+    rho = pi * envelope
+    rho[..., 1, 1] += pi[..., 2, 2] * _cascade_feed(g10, g21, t)
     rho[..., 0, 0] = 1.0 - rho[..., 1, 1] - rho[..., 2, 2]
-    rho[..., 0, 1] = pi[..., 0, 1] * e01c
-    rho[..., 1, 0] = pi[..., 1, 0] * e01c
-    rho[..., 0, 2] = pi[..., 0, 2] * e02c
-    rho[..., 2, 0] = pi[..., 2, 0] * e02c
-    rho[..., 1, 2] = pi[..., 1, 2] * e12c
-    rho[..., 2, 1] = pi[..., 2, 1] * e12c
     return rho
 
 
 def likelihood_grid(prep, t: float, readout, omegas, params: DecoherenceParams):
     """Outcome probabilities P(xi | omega) for every omega in ``omegas``.
 
-    Returns an array of shape (len(omegas), 3): prep state -> field phases
-    -> decoherence channel -> readout conjugation -> diagonal.  During the
-    delay the field evolves level k by e^{-i k omega t} (global phase
-    dropped); the opposite sign would only relabel the outcomes.
+    Returns a Fortran-ordered array of shape (len(omegas), 3): prep state
+    -> field phases -> decoherence channel -> readout conjugation ->
+    diagonal.  During the delay the field evolves level k by
+    e^{-i k omega t} (global phase dropped); the opposite sign would only
+    relabel the outcomes.  The steps, their order and why each operand
+    order is fixed are in the module docstring.  A negative ``t`` raises
+    ValueError from ``decohere_channel``.
     """
     prep = np.asarray(prep, dtype=complex)
     readout = np.asarray(readout, dtype=complex)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    m = omegas.shape[0]
 
-    phases = np.exp(-1j * np.outer(omegas, np.arange(3)) * t)   # (m, 3)
-    psi = phases * prep                                          # (m, 3)
-    pi = psi[:, :, None] * psi[:, None, :].conj()                # (m, 3, 3)
-    rho = decohere_channel(pi, t, params)
-    probs = np.einsum("xp,mpq,xq->mx", readout, rho, readout.conj(),
-                      optimize=True)
-    return np.clip(probs.real, 0.0, 1.0)
+    psi = np.empty((3, m), dtype=complex)        # psi[k] = prep_k e^{-ik omega t}
+    psi[0] = prep[0]
+    # not in place: numpy rounds an in-place product of one element apart
+    phase = np.empty(m, dtype=complex)
+    for k in (1, 2):
+        angle = (omegas * k) * t
+        np.cos(angle, out=phase.real)
+        np.sin(angle, out=phase.imag)
+        np.negative(phase.imag, out=phase.imag)
+        np.multiply(phase, prep[k], out=psi[k])
+
+    conj = psi.conj()
+    rho_t = np.empty((m, 3, 3), dtype=complex)   # rho_t[omega, q, p] = rho_pq
+    for p in range(3):
+        for q in range(3):
+            np.multiply(psi[p], conj[q], out=rho_t[:, q, p])
+    rho_t = decohere_channel(rho_t, t, params)
+
+    amp = rho_t.reshape(3 * m, 3) @ readout.T    # (R rho)_xq at [omega, q, x]
+    probs = readout.conj()[:, None, :] @ amp.reshape(m, 3, 3).transpose(2, 1, 0)
+    return np.clip(probs.reshape(3, m).T.real, 0.0, 1.0)

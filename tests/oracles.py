@@ -3,8 +3,10 @@
 Each oracle reaches its answer by a different route than the package code
 it checks: the master equation instead of the closed-form channel, the
 three-term cosine expansion instead of the density-matrix kernel, the
-entropy-difference gain instead of the mutual-information form.  None of
-these run in any workload, so they live here and not in ``quditmag``.
+entropy-difference gain instead of the mutual-information form.  The
+einsum kernel and the entry-by-entry channel are the earlier package
+bodies, which the package must still equal bit for bit.  None of these run
+in any workload, so they live here and not in ``quditmag``.
 """
 
 from __future__ import annotations
@@ -96,6 +98,58 @@ def lindblad_oracle(initial, t: float, params: DecoherenceParams,
     step = np.eye(9) + a + a2 / 2.0 + a2 @ a / 6.0 + a2 @ a2 / 24.0
     rho = np.linalg.matrix_power(step, n_steps) @ initial.reshape(9)
     return rho.reshape(3, 3)
+
+
+def entrywise_decohere_channel(pi, t: float, params: DecoherenceParams):
+    """``decohere_channel`` written out entry by entry, with its own cascade
+    feed; reference for the envelope-matrix form."""
+    if t < 0:
+        raise ValueError(f"delay time must be non-negative, got {t}")
+    pi = np.asarray(pi, dtype=complex)
+    g10, g21, gphi = params.gamma_10, params.gamma_21, params.gamma_phi
+
+    e10 = np.exp(-g10 * t)
+    e21 = np.exp(-g21 * t)
+    e01c = np.exp(-(g10 + gphi) * t / 2.0)
+    e02c = np.exp(-(g21 + 4.0 * gphi) * t / 2.0)
+    e12c = np.exp(-(g21 + g10 + gphi) * t / 2.0)
+    scale = max(g10, g21)
+    if scale == 0.0:
+        feed = np.zeros_like(np.asarray(t, dtype=float))
+    elif abs(g21 - g10) <= 1e-9 * scale:
+        feed = g10 * t * np.exp(-g10 * t)
+    else:
+        feed = g21 / (g21 - g10) * (np.exp(-g10 * t) - np.exp(-g21 * t))
+
+    rho = np.empty_like(pi)
+    rho[..., 2, 2] = pi[..., 2, 2] * e21
+    rho[..., 1, 1] = pi[..., 1, 1] * e10 + pi[..., 2, 2] * feed
+    rho[..., 0, 0] = 1.0 - rho[..., 1, 1] - rho[..., 2, 2]
+    rho[..., 0, 1] = pi[..., 0, 1] * e01c
+    rho[..., 1, 0] = pi[..., 1, 0] * e01c
+    rho[..., 0, 2] = pi[..., 0, 2] * e02c
+    rho[..., 2, 0] = pi[..., 2, 0] * e02c
+    rho[..., 1, 2] = pi[..., 1, 2] * e12c
+    rho[..., 2, 1] = pi[..., 2, 1] * e12c
+    return rho
+
+
+def einsum_likelihood_grid(prep, t: float, readout, omegas,
+                           params: DecoherenceParams):
+    """``likelihood_grid`` as one einsum over the field-evolved density
+    matrices, with ``np.exp`` phases on all three levels; reference for the
+    package kernel, which must return the same bytes and strides."""
+    prep = np.asarray(prep, dtype=complex)
+    readout = np.asarray(readout, dtype=complex)
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+
+    phases = np.exp(-1j * np.outer(omegas, np.arange(3)) * t)   # (m, 3)
+    psi = phases * prep                                          # (m, 3)
+    pi = psi[:, :, None] * psi[:, None, :].conj()                # (m, 3, 3)
+    rho = entrywise_decohere_channel(pi, t, params)
+    probs = np.einsum("xp,mpq,xq->mx", readout, rho, readout.conj(),
+                      optimize=True)
+    return np.clip(probs.real, 0.0, 1.0)
 
 
 def dephased_fourier_prob(xi: int, omega: float, t: float,

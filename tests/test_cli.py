@@ -104,6 +104,9 @@ def test_csv_cells_use_fixed_notation(tmp_path):
     pytest.param("gain-curve", "[gain-curve]\nt_min_ns = 90\n"
                  "t_max_ns = 30\nn_t = 3\n[prior]\ngrid_points = 64\n",
                  [], "t_min_ns", id="t-min-above-t-max"),
+    pytest.param("compare", "[compare]\nprotocols = classical, classical\n"
+                 "n_steps = 2\nn_experiments = 1\n[prior]\ngrid_points = 64\n",
+                 [], "protocols", id="repeated-protocol"),
     pytest.param("gain-curve", "[gain-curve]\nn_t = 5\n"
                  "[prior]\nsigma_rad_per_s = inf\n", [], "sigma_rad_per_s",
                  id="infinite-sigma"),

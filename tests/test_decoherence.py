@@ -39,6 +39,10 @@ def test_negative_rates_rejected():
         DecoherenceParams(gamma_10=-1.0)
     with pytest.raises(ValueError):
         DecoherenceParams.from_coherence_time(0.0)
+    # a negative delay reaches the channel's rejection through the kernel
+    with pytest.raises(ValueError, match="delay time must be non-negative"):
+        likelihood_grid(balanced_state(3), -1e-9, fourier_gate(3), [0.0],
+                        DecoherenceParams.none())
 
 
 def test_channel_identity_at_zero_time():

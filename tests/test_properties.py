@@ -3,10 +3,11 @@
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import entropy_difference_gain
+from oracles import (einsum_likelihood_grid, entropy_difference_gain,
+                     entrywise_decohere_channel)
 from quditmag.bayes import (FieldGrid, SIGMA_DEFAULT, bayes_update,
                             expected_gain, gaussian_prior)
-from quditmag.core import balanced_state, fourier_gate, pulse_unitary
+from quditmag.core import balanced_state, fourier_gate, pulse_unitary, xy_state
 from quditmag.decoherence import (DecoherenceParams, decohere_channel,
                                   likelihood_grid)
 
@@ -116,3 +117,53 @@ def test_channel_is_cptp(params, t):
     assert np.linalg.eigvalsh(choi).min() >= -1e-12
     np.testing.assert_allclose(np.einsum("ijaa->ij", blocks), basis,
                                rtol=0, atol=1e-12)
+
+
+def _same_bytes(a, b):
+    """Equal shape, strides and bytes; the bytes also tell -0.0 from 0.0,
+    which ``np.array_equal`` does not."""
+    return (a.shape == b.shape and a.strides == b.strides
+            and np.array_equal(a, b) and a.tobytes() == b.tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(measurements(), st.integers(1, 512))
+# lama-trace's first step (15 ns, T_c = 5 us) on the default 8192-point grid
+@example((xy_state(0.0, 0.0), fourier_gate(3), 15e-9,
+          DecoherenceParams.from_coherence_time(5e-6)), 8192)
+# equal relaxation rates, the degenerate cascade feed
+@example((balanced_state(3), fourier_gate(3), 1e-6,
+          DecoherenceParams(2e5, 2e5, 1e5)), 64)
+# one field value: numpy runs an in-place product of one element through
+# another loop, which rounds differently
+@example((xy_state(0.3, -1.2), pulse_unitary(0.4, 1.1, -0.7), 1e-6,
+          DecoherenceParams(1e5, 3e4, 2e5)), 1)
+def test_kernel_equals_the_einsum_oracle_exactly(measurement, m):
+    """``likelihood_grid`` returns the einsum oracle's bytes and strides.
+
+    Exact, not within a tolerance: every CLI artifact is compared byte for
+    byte, and lama-trace's posterior mean at its first steps is rounding
+    noise (about 5e-10 rad/s on a +-4.2e8 rad/s grid) that the benchmark's
+    references pin at atol 1e-12.  A kernel that changes one rounding moves
+    recorded outputs; that is a different change, with its own record of
+    the files it moves."""
+    prep, readout, t, params = measurement
+    # the default prior grid; its lower end alone when m = 1
+    omegas = np.linspace(-6.0 * SIGMA_DEFAULT, 6.0 * SIGMA_DEFAULT, m)
+    assert _same_bytes(likelihood_grid(prep, t, readout, omegas, params),
+                       einsum_likelihood_grid(prep, t, readout, omegas, params))
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel_rates(), delays, preps(), angles, angles, angles)
+@example(DecoherenceParams(2e5, 2e5, 1e5), 1e-6, balanced_state(3),
+         0.0, 0.0, 0.0)
+def test_channel_equals_the_entrywise_oracle_exactly(params, t, prep, eps,
+                                                     delta1, delta2):
+    """``decohere_channel`` returns the entry-by-entry oracle's bytes, for
+    the reason given in the kernel test above."""
+    pure = np.outer(prep, prep.conj())
+    # one matrix and a batch; the map is checked on a unitary too
+    for pi in (pure, np.stack([pure, pulse_unitary(eps, delta1, delta2)])):
+        assert _same_bytes(decohere_channel(pi, t, params),
+                           entrywise_decohere_channel(pi, t, params))
