@@ -27,8 +27,8 @@ def replay(outcomes):
         print(f"{i:4d} {step.outcome:3d} {step.plan.delay * 1e9:10.1f} "
               f"{step.gain_bits:11.3f} {mean:13.3e} {std:12.3e}")
     total = traj.cumulative_gain_bits()[-1]
-    print(f"total gain {total:.3f} bits "
-          f"over t_phi = {traj.phase_accumulation_time * 1e9:.0f} ns\n")
+    t_phi = traj.cumulative_times()[-1]
+    print(f"total gain {total:.3f} bits over t_phi = {t_phi * 1e9:.0f} ns\n")
 
 
 def main():

@@ -28,9 +28,9 @@ def main():
                                     rng_seed=5, n_starts=16)
         print(label)
         print(f"  Fourier readout: gain {fixed.best_gain:.4f} bits, "
-              f"prep j_xy = {spin_xy_projection(fixed.best_prep).j_xy:.4f}")
+              f"prep j_xy = {spin_xy_projection(fixed.best_prep):.4f}")
         print(f"  free readout:    gain {free.best_gain:.4f} bits, "
-              f"prep j_xy = {spin_xy_projection(free.best_prep).j_xy:.4f}")
+              f"prep j_xy = {spin_xy_projection(free.best_prep):.4f}")
         print(f"  free-readout advantage: "
               f"{free.best_gain - fixed.best_gain:+.4f} bits\n")
 

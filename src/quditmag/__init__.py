@@ -14,8 +14,8 @@ from .bayes import (FieldDistribution, FieldGrid, ImpossibleOutcomeError,
                     uniform_prior)
 from .config import (ConfigError, decoherence_from, load_config, prior_from,
                      protocol_from)
-from .core import (PulseParams, SpinProjection, balanced_state, fourier_gate,
-                   pulse_unitary, spin_xy_projection, xy_state)
+from .core import (balanced_state, fourier_gate, pulse_unitary,
+                   spin_xy_projection, xy_state)
 from .decoherence import DecoherenceParams, decohere_channel, likelihood_grid
 from .harness import (EnsembleConfig, GainCurve, OscillationResult,
                       ScalingEstimate, first_step_gain_curve,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -47,12 +48,6 @@ def _write_csv(path: str, header, rows) -> None:
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(",".join(_fmt(cell) for cell in row) + "\n")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def cmd_gain_curve(config: dict, seed: int, flux_axis: bool):
@@ -184,11 +179,10 @@ def cmd_optimize(config: dict, seed: int, flux_axis: bool):
                                       budget=section["budget"], rng_seed=seed,
                                       n_starts=section["n_starts"],
                                       fix_readout=fix_readout)
-        j_xy = spin_xy_projection(result.best_prep).j_xy
-        params = result.best_params.as_array()
-        rows.append((t * 1e9, result.best_gain, j_xy, *params))
+        j_xy = spin_xy_projection(result.best_prep)
+        rows.append((t * 1e9, result.best_gain, j_xy, *result.best_params))
         details.append({"t_ns": t * 1e9, "best_gain_bits": result.best_gain,
-                        "j_xy": j_xy, "best_params": list(params),
+                        "j_xy": j_xy, "best_params": list(result.best_params),
                         "n_evaluations": result.n_evaluations})
     header = ("t_ns", "best_gain_bits", "j_xy", "eps_p", "delta1_p",
               "delta2_p", "eps_r", "delta1_r", "delta2_r")
@@ -235,6 +229,20 @@ def main(argv=None) -> int:
                               f"got {seed}")
         csv_files, summary = _COMMANDS[args.command](config, seed,
                                                      args.flux_axis)
+        manifest_name = args.command.replace("-", "_") + ".json"
+        # Strict RFC 8259 JSON, made before any file is written.  The one
+        # non-finite value that parses, +inf, goes in as "inf", as in the INI.
+        manifest = json.dumps({
+            "command": args.command,
+            "version": __version__,
+            "seed": seed,
+            "flux_axis": args.flux_axis,
+            "config": {section: {key: "inf" if value == math.inf else value
+                                 for key, value in keys.items()}
+                       for section, keys in config.items()},
+            "outputs": [name for name, _, _ in csv_files] + [manifest_name],
+            "summary": summary,
+        }, indent=2, sort_keys=True, allow_nan=False)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -243,19 +251,11 @@ def main(argv=None) -> int:
         return 1
 
     os.makedirs(args.out, exist_ok=True)
-    manifest_name = args.command.replace("-", "_") + ".json"
-    outputs = [name for name, _, _ in csv_files] + [manifest_name]
     for name, header, rows in csv_files:
         _write_csv(os.path.join(args.out, name), header, rows)
-    _write_json(os.path.join(args.out, manifest_name), {
-        "command": args.command,
-        "version": __version__,
-        "seed": seed,
-        "flux_axis": args.flux_axis,
-        "config": config,
-        "outputs": outputs,
-        "summary": summary,
-    })
+    with open(os.path.join(args.out, manifest_name), "w",
+              newline="\n") as handle:
+        handle.write(manifest + "\n")
     return 0
 
 

@@ -212,8 +212,6 @@ def prior_from(config: dict) -> PriorSpec:
 def decoherence_from(config: dict) -> DecoherenceParams:
     """Rates from the [decoherence] section (inf coherence time = no decay)."""
     t_c = config["decoherence"]["coherence_time_us"]
-    if math.isinf(t_c):
-        return DecoherenceParams.none()
     return DecoherenceParams.from_coherence_time(t_c * 1e-6)
 
 

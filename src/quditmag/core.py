@@ -7,46 +7,11 @@ arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Spin-1 operators in the computational basis (hbar = 1).
 J_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2)
 J_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / np.sqrt(2)
-
-
-@dataclass(frozen=True)
-class PulseParams:
-    """Six pulse controls: preparation (eps_p, delta1_p, delta2_p) and
-    readout (eps_r, delta1_r, delta2_r), all in radians."""
-
-    eps_p: float
-    delta1_p: float
-    delta2_p: float
-    eps_r: float
-    delta1_r: float
-    delta2_r: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.eps_p, self.delta1_p, self.delta2_p,
-                         self.eps_r, self.delta1_r, self.delta2_r])
-
-    @staticmethod
-    def from_array(s) -> "PulseParams":
-        return PulseParams(*(float(x) for x in s))
-
-
-@dataclass(frozen=True)
-class SpinProjection:
-    """Transverse spin expectations and their modulus."""
-
-    jx: float
-    jy: float
-
-    @property
-    def j_xy(self) -> float:
-        return float(np.hypot(self.jx, self.jy))
 
 
 def balanced_state(d: int = 3) -> np.ndarray:
@@ -91,12 +56,13 @@ def xy_state(alpha: float, beta: float) -> np.ndarray:
         [np.exp(1j * beta), np.sqrt(2), np.exp(-1j * beta)], dtype=complex)
 
 
-def spin_xy_projection(state) -> SpinProjection:
-    """Expectation values of J_X, J_Y for a qutrit state (spin-1 representation)."""
+def spin_xy_projection(state) -> float:
+    """Transverse spin modulus hypot(<J_X>, <J_Y>) of a qutrit state (spin-1
+    representation); xy-plane states reach 1."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (3,):
         raise ValueError(f"transverse spin projection is defined for d = 3 only, "
                          f"got shape {state.shape}")
     jx = float(np.real(state.conj() @ (J_X @ state)))
     jy = float(np.real(state.conj() @ (J_Y @ state)))
-    return SpinProjection(jx=jx, jy=jy)
+    return float(np.hypot(jx, jy))

@@ -62,10 +62,6 @@ class DecoherenceParams:
     def none() -> "DecoherenceParams":
         return DecoherenceParams()
 
-    @property
-    def is_coherent(self) -> bool:
-        return self.gamma_10 == 0 and self.gamma_21 == 0 and self.gamma_phi == 0
-
 
 def _cascade_feed(gamma_10: float, gamma_21: float, t):
     """Population transferred from level 2 into level 1 after time t.

@@ -15,6 +15,9 @@ from .core import balanced_state, fourier_gate
 from .decoherence import DecoherenceParams
 from .protocols import ProtocolConfig, run_protocol, schedule_delays
 
+SLIDING_WINDOW_DECADES = 0.5     # width of each sliding scaling fit in log10 t
+PEAK_PROMINENCE_BITS = 1e-3      # smallest detrended gain peak that counts
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -96,11 +99,11 @@ def scaling_exponent(curve: GainCurve, window: tuple[float, float]) -> ScalingEs
     return ScalingEstimate(alpha=float(coeffs[0]), window=(t_lo, t_hi))
 
 
-def sliding_alpha(curve: GainCurve, center_range: tuple[float, float],
-                  width_decades: float = 0.5) -> list[ScalingEstimate]:
+def sliding_alpha(curve: GainCurve, center_range: tuple[float, float]
+                  ) -> list[ScalingEstimate]:
     """Scaling fits over half-decade windows centered at each curve point
     inside center_range."""
-    half = 10.0 ** (width_decades / 2.0)
+    half = 10.0 ** (SLIDING_WINDOW_DECADES / 2.0)
     estimates = []
     for c in curve.t_phi:
         if not (center_range[0] <= c <= center_range[1]):
@@ -113,9 +116,9 @@ def sliding_alpha(curve: GainCurve, center_range: tuple[float, float],
     return estimates
 
 
-def max_sliding_alpha(curve: GainCurve, center_range: tuple[float, float],
-                      width_decades: float = 0.5) -> ScalingEstimate:
-    estimates = sliding_alpha(curve, center_range, width_decades)
+def max_sliding_alpha(curve: GainCurve, center_range: tuple[float, float]
+                      ) -> ScalingEstimate:
+    estimates = sliding_alpha(curve, center_range)
     if not estimates:
         raise ValueError("no valid scaling windows in the requested range")
     return max(estimates, key=lambda e: e.alpha)
@@ -139,25 +142,24 @@ def _detrend(y: np.ndarray) -> np.ndarray:
     return y - uniform_filter1d(y, size=size, mode="nearest")
 
 
-def estimate_period(t: np.ndarray, gain: np.ndarray,
-                    prominence: float = 1e-3) -> float | None:
+def estimate_period(t: np.ndarray, gain: np.ndarray) -> float | None:
     """Dominant oscillation period from the spacing of detrended peaks.
 
     Returns None when no peaks exceed the prominence floor (oscillation
     reported as absent).
     """
     resid = _detrend(gain)
-    peaks, _ = find_peaks(resid, prominence=prominence)
+    peaks, _ = find_peaks(resid, prominence=PEAK_PROMINENCE_BITS)
     if len(peaks) < 2:
         return None
     return float(np.median(np.diff(t[peaks])))
 
 
-def estimate_revival_time(t: np.ndarray, gain: np.ndarray, t_min: float,
-                          prominence: float = 1e-3) -> float | None:
+def estimate_revival_time(t: np.ndarray, gain: np.ndarray,
+                          t_min: float) -> float | None:
     """Location of the most prominent late-time peak (grid revival)."""
     resid = _detrend(gain)
-    peaks, props = find_peaks(resid, prominence=prominence)
+    peaks, _ = find_peaks(resid, prominence=PEAK_PROMINENCE_BITS)
     keep = peaks[t[peaks] >= t_min]
     if len(keep) == 0:
         return None

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bayes import FieldDistribution, expected_gain
-from .core import PulseParams, pulse_unitary
+from .core import pulse_unitary
 from .decoherence import DecoherenceParams
 
 SEARCH_BOX = (-np.pi, np.pi)
@@ -23,7 +23,8 @@ SEARCH_BOX = (-np.pi, np.pi)
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    best_params: PulseParams
+    # (eps_p, delta1_p, delta2_p, eps_r, delta1_r, delta2_r) in radians
+    best_params: np.ndarray
     best_gain: float             # bits
     n_evaluations: int
     starts: int
@@ -32,13 +33,11 @@ class OptimizationResult:
 
     @property
     def best_prep(self) -> np.ndarray:
-        p = self.best_params
-        return pulse_unitary(p.eps_p, p.delta1_p, p.delta2_p)[:, 0]
+        return _prep_from(self.best_params)
 
     @property
     def best_readout(self) -> np.ndarray:
-        p = self.best_params
-        return pulse_unitary(p.eps_r, p.delta1_r, p.delta2_r)
+        return pulse_unitary(*self.best_params[3:])
 
 
 def _prep_from(s) -> np.ndarray:
@@ -99,7 +98,7 @@ def optimize_step_params(dist: FieldDistribution, t: float,
 
     if fix_readout is not None:
         best_s = np.concatenate([best_s, np.zeros(3)])
-    return OptimizationResult(best_params=PulseParams.from_array(best_s),
+    return OptimizationResult(best_params=best_s,
                               best_gain=float(-best_val),
                               n_evaluations=n_evals, starts=n_starts,
                               budget_exhausted=exhausted,

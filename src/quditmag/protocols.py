@@ -69,10 +69,6 @@ class StepRecord:
 class ProtocolTrajectory:
     steps: list[StepRecord]
 
-    @property
-    def phase_accumulation_time(self) -> float:
-        return sum(s.plan.delay for s in self.steps)
-
     def cumulative_times(self) -> np.ndarray:
         return np.cumsum([s.plan.delay for s in self.steps])
 
@@ -103,19 +99,19 @@ def _fourier_delay(config: ProtocolConfig, i: int) -> float:
 # XY-plane amplitudes (1/2, 1/sqrt 2, 1/2) of the modified Fourier prep.
 _MODIFIED_AMPS = np.array([0.5, 1.0 / np.sqrt(2), 0.5])
 
-# kind -> (delay rule (config, i) -> t_i, prep rule (config, outcomes) -> prep).
+# kind -> (delay rule (config, i) -> t_i, prep rule (outcomes) -> prep).
 # The readout is always F_3.  Only the two Fourier prep rules read the
 # outcome history.
 _STEP_RULES = {
     "lama": (lambda c, i: c.t1 + (i - 1) * c.dt,
-             lambda c, h: xy_state(0.0, 0.0)),
-    "classical": (lambda c, i: c.t1, lambda c, h: xy_state(0.0, 0.0)),
+             lambda h: xy_state(0.0, 0.0)),
+    "classical": (lambda c, i: c.t1, lambda h: xy_state(0.0, 0.0)),
     "kitaev": (lambda c, i: c.t1 * 3.0 ** (i - 1),
-               lambda c, h: balanced_state(3)),
+               lambda h: balanced_state(3)),
     "fourier": (_fourier_delay,
-                lambda c, h: _feedback_phases(h) / np.sqrt(3)),
+                lambda h: _feedback_phases(h) / np.sqrt(3)),
     "fourier_modified": (_fourier_delay,
-                         lambda c, h: _MODIFIED_AMPS * _feedback_phases(h)),
+                         lambda h: _MODIFIED_AMPS * _feedback_phases(h)),
 }
 PROTOCOL_KINDS = tuple(_STEP_RULES)
 
@@ -128,7 +124,7 @@ def plan_step(i: int, config: ProtocolConfig, previous_outcomes) -> StepPlan:
         raise ValueError("outcome history shorter than step index")
     delay_rule, prep_rule = _STEP_RULES[config.kind]
     return StepPlan(delay=delay_rule(config, i),
-                    prep=prep_rule(config, previous_outcomes[:i - 1]),
+                    prep=prep_rule(previous_outcomes[:i - 1]),
                     readout=fourier_gate(3))
 
 
@@ -139,9 +135,9 @@ def schedule_delays(config: ProtocolConfig) -> np.ndarray:
                      for i in range(1, config.n_steps + 1)])
 
 
-def fourier_max_steps(t1: float, t_floor: float = T_SATURATION) -> int:
-    """Number of Fourier steps with delay still above the pulse-limited floor."""
-    n = int(np.floor(np.log(t1 / t_floor) / np.log(3.0))) + 1
+def fourier_max_steps(t1: float) -> int:
+    """Fourier steps with delay still above the T_SATURATION pulse floor."""
+    n = int(np.floor(np.log(t1 / T_SATURATION) / np.log(3.0))) + 1
     return max(n, 0)
 
 
@@ -165,8 +161,11 @@ def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
 
     Deterministic given its arguments.
     """
-    if forced_outcomes is not None and len(forced_outcomes) < config.n_steps:
-        raise ValueError("forced outcome list shorter than n_steps")
+    if forced_outcomes is not None:
+        if len(forced_outcomes) < config.n_steps:
+            raise ValueError("forced outcome list shorter than n_steps")
+        if any(xi not in (0, 1, 2) for xi in forced_outcomes):
+            raise ValueError("forced outcomes must be 0, 1 or 2")
 
     rng = np.random.default_rng(rng_seed)
     dist = prior

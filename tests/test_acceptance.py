@@ -195,7 +195,7 @@ def test_criterion_10_optimizer_fourier_readout(criterion, prior_8192):
         fixed_gain = expected_gain(prior_8192, t, fixed.best_prep, F3, NO_DECAY)
         full_gain = expected_gain(prior_8192, t, full.best_prep,
                                   full.best_readout, NO_DECAY)
-        j_xy = qm.spin_xy_projection(fixed.best_prep).j_xy
+        j_xy = qm.spin_xy_projection(fixed.best_prep)
         here = j_xy >= 0.99 and abs(full_gain - fixed_gain) <= 1e-3
         ok = ok and here
         details.append(f"{label}: j_xy {j_xy:.4f}, fixed {fixed_gain:.4f} vs "

@@ -65,16 +65,40 @@ def test_empty_sweep_yields_header_only_csv(tmp_path):
     assert rows == []
 
 
-def test_outputs_byte_identical_across_reruns(tmp_path):
-    cfg = write(tmp_path, "gc.ini", GAIN_CURVE_INI.format(prep="xy", n_t=25))
-    outs = [str(tmp_path / f"run{i}") for i in (1, 2)]
+RERUN_CONFIGS = {
+    "gain-curve": GAIN_CURVE_INI.format(prep="xy", n_t=25),
+    "compare": "[compare]\nn_steps = 10\nn_experiments = 5\n"
+               "[prior]\ngrid_points = 1024\n",
+    "lama-trace": TRACE_INI.format(outcomes="0, 1, 2, 1"),
+    "oscillations": "[oscillations]\nkind = edge\nvariants_rad_per_s = 1e8\n"
+                    "n_t = 200\ngrid_points = 256\n",
+    "optimize": "[optimize]\nt_ns = 15\nbudget = 50\nn_starts = 2\n"
+                "[prior]\ngrid_points = 1024\n",
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize("command", list(RERUN_CONFIGS))
+def test_outputs_byte_identical_across_reruns(tmp_path, command):
+    """Two runs of one config write the same files byte for byte, and the
+    manifest is strict JSON (the default infinite coherence time included)."""
+    cfg = write(tmp_path, "rerun.ini", RERUN_CONFIGS[command])
+    outs = [tmp_path / f"run{i}" for i in (1, 2)]
     for out in outs:
-        assert main(["gain-curve", "--config", cfg, "--out", out,
+        assert main([command, "--config", cfg, "--out", str(out),
                      "--seed", "5"]) == 0
-    for name in ("gain_curve.csv", "gain_curve.json"):
-        first = open(os.path.join(outs[0], name), "rb").read()
-        second = open(os.path.join(outs[1], name), "rb").read()
-        assert first == second
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    manifest_name = command.replace("-", "_") + ".json"
+    manifest = json.loads((outs[0] / manifest_name).read_text(),
+                          parse_constant=_reject_constant)
+    assert sorted(manifest["outputs"]) == names
+    assert manifest["config"]["decoherence"]["coherence_time_us"] == "inf"
 
 
 def test_csv_cells_use_fixed_notation(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import is_unitary, phase_evolution
-from quditmag.core import (PulseParams, balanced_state, fourier_gate,
-                           pulse_unitary, spin_xy_projection, xy_state)
+from quditmag.core import (balanced_state, fourier_gate, pulse_unitary,
+                           spin_xy_projection, xy_state)
 
 
 def test_fourier_gate_matches_printed_matrix():
@@ -114,14 +114,14 @@ def test_global_phase_invariance():
 def test_xy_states_have_unit_spin_projection():
     rng = np.random.default_rng(7)
     for alpha, beta in rng.uniform(-np.pi, np.pi, size=(100, 2)):
-        assert spin_xy_projection(xy_state(alpha, beta)).j_xy == \
+        assert spin_xy_projection(xy_state(alpha, beta)) == \
             pytest.approx(1.0, abs=1e-12)
 
 
 def test_spin_projection_reference_values():
-    assert spin_xy_projection(balanced_state(3)).j_xy == \
+    assert spin_xy_projection(balanced_state(3)) == \
         pytest.approx(2.0 * np.sqrt(2) / 3.0, abs=1e-12)
-    assert spin_xy_projection(np.array([1.0, 0.0, 0.0])).j_xy == \
+    assert spin_xy_projection(np.array([1.0, 0.0, 0.0])) == \
         pytest.approx(0.0, abs=1e-12)
 
 
@@ -130,10 +130,5 @@ def test_spin_projection_bounded():
     for _ in range(200):
         psi = rng.normal(size=3) + 1j * rng.normal(size=3)
         psi /= np.linalg.norm(psi)
-        j = spin_xy_projection(psi).j_xy
+        j = spin_xy_projection(psi)
         assert 0.0 <= j <= 1.0 + 1e-12
-
-
-def test_pulse_params_array_round_trip():
-    p = PulseParams(0.1, -0.2, 0.3, -0.4, 0.5, -0.6)
-    assert PulseParams.from_array(p.as_array()) == p

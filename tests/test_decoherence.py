@@ -30,8 +30,6 @@ def test_rate_tie_constructor():
     assert params.gamma_10 == pytest.approx(1.0 / T_C)
     assert params.gamma_phi == pytest.approx(1.0 / T_C)
     assert params.gamma_21 == pytest.approx(np.sqrt(2) / T_C)
-    assert not params.is_coherent
-    assert DecoherenceParams.none().is_coherent
 
 
 def test_negative_rates_rejected():

@@ -103,8 +103,8 @@ def test_lama_prep_outcome_independent(prior):
 
 
 def test_step_count_helpers():
-    assert fourier_max_steps(2.4e-6, 15e-9) == 5
-    assert fourier_max_steps(1e-9, 15e-9) == 0
+    assert fourier_max_steps(2.4e-6) == 5
+    assert fourier_max_steps(1e-9) == 0
     assert kitaev_max_steps(15e-9, 50e-6) == 8
     assert kitaev_max_steps(1e-6, 1e-7) == 0
 
@@ -143,12 +143,16 @@ def test_forced_outcomes_replayed(prior):
     assert traj.outcomes() == [1, 2, 0, 1]
     with pytest.raises(ValueError):
         run_protocol(config, prior, rng_seed=0, forced_outcomes=[1])
+    # an outcome outside {0, 1, 2} is rejected before the first step
+    for bad in ([-1, 0, 0, 0], [3, 0, 0, 0], np.array([0, 1, 2, -1])):
+        with pytest.raises(ValueError, match="0, 1 or 2"):
+            run_protocol(config, prior, rng_seed=0, forced_outcomes=bad)
 
 
 def test_phase_accumulation_time(prior):
     config = ProtocolConfig("lama", t1=15e-9, dt=40e-9, n_steps=5)
     traj = run_protocol(config, prior, rng_seed=0)
-    assert traj.phase_accumulation_time == pytest.approx(
+    assert traj.cumulative_times()[-1] == pytest.approx(
         np.sum(15e-9 + 40e-9 * np.arange(5)), rel=1e-12)
     assert np.all(np.diff(traj.cumulative_times()) > 0)
 
