@@ -24,7 +24,7 @@ def replay(outcomes):
           f"{'mean [rad/s]':>13} {'std [rad/s]':>12}")
     for i, step in enumerate(traj.steps, start=1):
         mean, std = posterior_stats(step.posterior)
-        print(f"{i:4d} {step.outcome:3d} {step.plan.delay * 1e9:10.1f} "
+        print(f"{i:4d} {step.outcome:3d} {step.delay * 1e9:10.1f} "
               f"{step.gain_bits:11.3f} {mean:13.3e} {std:12.3e}")
     total = traj.cumulative_gain_bits()[-1]
     t_phi = traj.cumulative_times()[-1]

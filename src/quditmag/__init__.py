@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .bayes import (FieldDistribution, FieldGrid, ImpossibleOutcomeError,
                     PriorSpec, SIGMA_DEFAULT, T_SATURATION, bayes_update,
-                    entropy, expected_gain, gaussian_prior, posterior_stats,
+                    entropy, expected_gain, posterior_stats,
                     uniform_prior)
 from .config import (ConfigError, decoherence_from, load_config, prior_from,
                      protocol_from)
@@ -22,6 +22,6 @@ from .harness import (EnsembleConfig, GainCurve, OscillationResult,
                       max_sliding_alpha, oscillation_study, run_ensemble,
                       scaling_exponent, sliding_alpha)
 from .optimizer import OptimizationResult, optimize_step_params
-from .protocols import (ProtocolConfig, ProtocolTrajectory, StepPlan,
+from .protocols import (READOUT, ProtocolConfig, ProtocolTrajectory,
                         StepRecord, fourier_max_steps, run_protocol,
-                        schedule_delays)
+                        schedule_delays, step_prep)

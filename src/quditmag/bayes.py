@@ -51,13 +51,13 @@ class FieldGrid:
         return (self.omega_max - self.omega_min) / (self.m - 1)
 
     @staticmethod
-    def centered(sigma: float, span_sigmas: float = 12.0, m: int = 8192,
+    def centered(sigma: float, span_sigmas: float, m: int,
                  center: float = 0.0) -> "FieldGrid":
         half = span_sigmas * sigma / 2.0
         return FieldGrid(center - half, center + half, m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldDistribution:
     """Normalized probability weights over a FieldGrid."""
 
@@ -76,14 +76,6 @@ class FieldDistribution:
         object.__setattr__(self, "weights", w / total)
 
 
-def gaussian_prior(grid: FieldGrid, mean: float = 0.0,
-                   sigma: float = SIGMA_DEFAULT) -> FieldDistribution:
-    if sigma <= 0:
-        raise ValueError("prior width must be positive")
-    z = (grid.points - mean) / sigma
-    return FieldDistribution(grid, np.exp(-0.5 * z * z))
-
-
 def uniform_prior(grid: FieldGrid) -> FieldDistribution:
     return FieldDistribution(grid, np.ones(grid.m))
 
@@ -99,9 +91,12 @@ class PriorSpec:
     m: int = 8192
 
     def build(self) -> FieldDistribution:
+        if self.sigma <= 0:
+            raise ValueError("prior width must be positive")
         grid = FieldGrid.centered(self.sigma, self.span_sigmas, self.m,
                                   center=self.mean)
-        return gaussian_prior(grid, self.mean, self.sigma)
+        z = (grid.points - self.mean) / self.sigma
+        return FieldDistribution(grid, np.exp(-0.5 * z * z))
 
 
 def bayes_update(dist: FieldDistribution, likelihood) -> FieldDistribution:

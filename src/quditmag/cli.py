@@ -24,11 +24,11 @@ from . import __version__
 from .bayes import ImpossibleOutcomeError, posterior_stats
 from .config import (ConfigError, decoherence_from, load_config, prior_from,
                      protocol_from, si_seconds)
-from .core import balanced_state, fourier_gate, spin_xy_projection, xy_state
+from .core import balanced_state, spin_xy_projection, xy_state
 from .harness import (EnsembleConfig, first_step_gain_curve,
                       oscillation_study, run_ensemble, sliding_alpha)
 from .optimizer import optimize_step_params
-from .protocols import ProtocolConfig, run_protocol
+from .protocols import READOUT, ProtocolConfig, run_protocol
 
 # Display-only conversion factor between the reduced field (rad/s) and the
 # flux axis used for presentation; enabled with --flux-axis.
@@ -80,8 +80,9 @@ def cmd_compare(config: dict, seed: int, flux_axis: bool):
     prior_spec = prior_from(config)
     csv_files = []
     summary = {}
-    for kind in section["protocols"]:
-        protocol = protocol_from(config, kind)
+    # every kind's config is checked before the first ensemble runs
+    protocols = {k: protocol_from(config, k) for k in section["protocols"]}
+    for kind, protocol in protocols.items():
         curve = run_ensemble(EnsembleConfig(protocol=protocol,
                                             n_experiments=section["n_experiments"],
                                             prior=prior_spec, seed=seed))
@@ -171,7 +172,7 @@ def cmd_optimize(config: dict, seed: int, flux_axis: bool):
     section = config["optimize"]
     prior = prior_from(config).build()
     decoherence = decoherence_from(config)
-    fix_readout = fourier_gate(3) if section["readout"] == "fourier" else None
+    fix_readout = READOUT if section["readout"] == "fourier" else None
     rows = []
     details = []
     for t in si_seconds(config, "optimize", "t_ns"):

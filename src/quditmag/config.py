@@ -16,7 +16,7 @@ from __future__ import annotations
 import configparser
 import math
 
-from .bayes import SIGMA_DEFAULT, T_SATURATION, PriorSpec
+from .bayes import T_SATURATION, PriorSpec
 from .decoherence import DecoherenceParams
 from .protocols import ProtocolConfig, fourier_max_steps
 
@@ -77,10 +77,10 @@ _SHARED_SCHEMA = {
         "seed": (_number(int, 0), 0),
     },
     "prior": {
-        "mean_rad_per_s": (_number(), 0.0),
-        "sigma_rad_per_s": (_number(above=0), SIGMA_DEFAULT),
-        "span_sigmas": (_number(above=0), 12.0),
-        "grid_points": (_number(int, 2), 8192),
+        "mean_rad_per_s": (_number(), PriorSpec().mean),
+        "sigma_rad_per_s": (_number(above=0), PriorSpec().sigma),
+        "span_sigmas": (_number(above=0), PriorSpec().span_sigmas),
+        "grid_points": (_number(int, 2), PriorSpec().m),
     },
     "decoherence": {
         # inf means a fully coherent sensor (no relaxation or dephasing)

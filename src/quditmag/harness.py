@@ -11,9 +11,9 @@ from scipy.signal import find_peaks
 
 from .bayes import (FieldDistribution, FieldGrid, LN2, PriorSpec, SIGMA_DEFAULT,
                     expected_gain, uniform_prior)
-from .core import balanced_state, fourier_gate
+from .core import balanced_state
 from .decoherence import DecoherenceParams
-from .protocols import ProtocolConfig, run_protocol, schedule_delays
+from .protocols import READOUT, ProtocolConfig, run_protocol, schedule_delays
 
 SLIDING_WINDOW_DECADES = 0.5     # width of each sliding scaling fit in log10 t
 PEAK_PROMINENCE_BITS = 1e-3      # smallest detrended gain peak that counts
@@ -31,7 +31,7 @@ class EnsembleConfig:
             raise ValueError("need at least one experiment")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainCurve:
     """Per-step ensemble statistics of the cumulative information gain."""
 
@@ -54,7 +54,7 @@ class ScalingEstimate:
     window: tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OscillationResult:
     variant: float
     t: np.ndarray = field(repr=False)
@@ -131,8 +131,7 @@ def first_step_gain_curve(prior: FieldDistribution, t_values,
     """Expected first-step gain (bits) for each delay time (F_3 readout)."""
     if prep is None:
         prep = balanced_state(3)
-    readout = fourier_gate(3)
-    return np.array([expected_gain(prior, t, prep, readout, params)
+    return np.array([expected_gain(prior, t, prep, READOUT, params)
                      for t in t_values])
 
 
@@ -192,11 +191,11 @@ def oscillation_study(kind: str, variants, sigma: float = SIGMA_DEFAULT,
             t_max = 60.0 * np.pi / omega_width
             period_of = estimate_period
         elif kind == "center":
-            prior = PriorSpec(float(variant), sigma, 12.0, m).build()
+            prior = PriorSpec(float(variant), sigma, m=m).build()
             t_max = 24.0 * np.pi / abs(float(variant))
             period_of = estimate_period
         else:
-            prior = PriorSpec(0.0, sigma, 12.0, int(variant)).build()
+            prior = PriorSpec(0.0, sigma, m=int(variant)).build()
             revival = 2.0 * np.pi / prior.grid.spacing
             t_max = 1.5 * revival
             period_of = partial(estimate_revival_time, t_min=0.3 * revival)

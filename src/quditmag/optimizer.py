@@ -21,7 +21,7 @@ from .decoherence import DecoherenceParams
 SEARCH_BOX = (-np.pi, np.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizationResult:
     # (eps_p, delta1_p, delta2_p, eps_r, delta1_r, delta2_r) in radians
     best_params: np.ndarray

@@ -28,19 +28,6 @@ from .decoherence import DecoherenceParams, likelihood_grid
 
 
 @dataclass(frozen=True)
-class StepPlan:
-    """One planned PER step: delay time, prep state, readout unitary."""
-
-    delay: float
-    prep: np.ndarray = field(repr=False)
-    readout: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if not self.delay > 0:
-            raise ValueError("delay must be positive")
-
-
-@dataclass(frozen=True)
 class ProtocolConfig:
     kind: str
     t1: float
@@ -55,22 +42,25 @@ class ProtocolConfig:
             raise ValueError("t1 must be positive")
         if self.n_steps < 0:
             raise ValueError("n_steps must be non-negative")
+        if not np.all(schedule_delays(self) > 0):
+            raise ValueError("every delay must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepRecord:
-    plan: StepPlan
+    delay: float
+    prep: np.ndarray = field(repr=False)
     outcome: int
     posterior: FieldDistribution
     gain_bits: float             # entropy drop of this step's update
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolTrajectory:
     steps: list[StepRecord]
 
     def cumulative_times(self) -> np.ndarray:
-        return np.cumsum([s.plan.delay for s in self.steps])
+        return np.cumsum([s.delay for s in self.steps])
 
     def cumulative_gain_bits(self) -> np.ndarray:
         return np.cumsum([s.gain_bits for s in self.steps])
@@ -99,9 +89,12 @@ def _fourier_delay(config: ProtocolConfig, i: int) -> float:
 # XY-plane amplitudes (1/2, 1/sqrt 2, 1/2) of the modified Fourier prep.
 _MODIFIED_AMPS = np.array([0.5, 1.0 / np.sqrt(2), 0.5])
 
+# The readout of every step of every protocol, shared, hence read-only.
+READOUT = fourier_gate(3)
+READOUT.flags.writeable = False
+
 # kind -> (delay rule (config, i) -> t_i, prep rule (outcomes) -> prep).
-# The readout is always F_3.  Only the two Fourier prep rules read the
-# outcome history.
+# Only the two Fourier prep rules read the outcome history.
 _STEP_RULES = {
     "lama": (lambda c, i: c.t1 + (i - 1) * c.dt,
              lambda h: xy_state(0.0, 0.0)),
@@ -116,16 +109,9 @@ _STEP_RULES = {
 PROTOCOL_KINDS = tuple(_STEP_RULES)
 
 
-def plan_step(i: int, config: ProtocolConfig, previous_outcomes) -> StepPlan:
-    """Plan step i (1-based) from the first i - 1 outcomes."""
-    if i < 1:
-        raise ValueError("step index starts at 1")
-    if len(previous_outcomes) < i - 1:
-        raise ValueError("outcome history shorter than step index")
-    delay_rule, prep_rule = _STEP_RULES[config.kind]
-    return StepPlan(delay=delay_rule(config, i),
-                    prep=prep_rule(previous_outcomes[:i - 1]),
-                    readout=fourier_gate(3))
+def step_prep(kind: str, previous_outcomes) -> np.ndarray:
+    """Prep state of the step that follows the given outcome history."""
+    return _STEP_RULES[kind][1](previous_outcomes)
 
 
 def schedule_delays(config: ProtocolConfig) -> np.ndarray:
@@ -172,16 +158,16 @@ def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
     s_before = entropy(dist)
     steps: list[StepRecord] = []
     outcomes: list[int] = []
-    for i in range(1, config.n_steps + 1):
-        plan = plan_step(i, config, outcomes)
-        lik = likelihood_grid(plan.prep, plan.delay, plan.readout,
-                              dist.grid.points, config.decoherence)
+    for i, delay in enumerate(schedule_delays(config), start=1):
+        prep = step_prep(config.kind, outcomes)
+        lik = likelihood_grid(prep, delay, READOUT, dist.grid.points,
+                              config.decoherence)
         if forced_outcomes is not None:
             xi = int(forced_outcomes[i - 1])
         elif true_omega is not None:
             xi = _sample_outcome(
-                likelihood_grid(plan.prep, plan.delay, plan.readout,
-                                [true_omega], config.decoherence)[0], rng)
+                likelihood_grid(prep, delay, READOUT, [true_omega],
+                                config.decoherence)[0], rng)
         else:
             xi = _sample_outcome(dist.weights @ lik, rng)
         try:
@@ -189,7 +175,8 @@ def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
         except ImpossibleOutcomeError as err:
             raise ImpossibleOutcomeError(f"step {i}: {err}") from err
         s_after = entropy(dist)
-        steps.append(StepRecord(plan=plan, outcome=xi, posterior=dist,
+        steps.append(StepRecord(delay=delay, prep=prep, outcome=xi,
+                                posterior=dist,
                                 gain_bits=(s_before - s_after) / LN2))
         outcomes.append(xi)
         s_before = s_after

@@ -8,6 +8,8 @@ t = T_s a non-Fourier readout measurably beats the Fourier gate (see the
 detail line and test_optimal_readout_is_fourier_only_at_plateau below).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,8 @@ from quditmag.harness import (EnsembleConfig, PriorSpec, max_sliding_alpha,
                               oscillation_study, run_ensemble,
                               scaling_exponent)
 from quditmag.optimizer import optimize_step_params
-from quditmag.protocols import ProtocolConfig, plan_step, run_protocol
+from quditmag.protocols import (READOUT, ProtocolConfig, run_protocol,
+                                schedule_delays, step_prep)
 
 T_S = qm.T_SATURATION
 T_C = 5e-6
@@ -121,8 +124,9 @@ def _fourier_step_gain(t1, step_index, m=16384, seed=0):
     config = ProtocolConfig("fourier", t1=t1, n_steps=step_index - 1)
     traj = run_protocol(config, prior, rng_seed=seed)
     dist = traj.steps[-1].posterior if traj.steps else prior
-    plan = plan_step(step_index, config, traj.outcomes())
-    return expected_gain(dist, plan.delay, plan.prep, plan.readout, NO_DECAY)
+    delay = schedule_delays(replace(config, n_steps=step_index))[-1]
+    prep = step_prep("fourier", traj.outcomes())
+    return expected_gain(dist, delay, prep, READOUT, NO_DECAY)
 
 
 def test_criterion_6_fourier_seventh_step_asymptote(criterion):

@@ -5,10 +5,9 @@ import pytest
 
 from oracles import differential_entropy
 from quditmag.bayes import (FieldDistribution, FieldGrid,
-                            ImpossibleOutcomeError, SIGMA_DEFAULT,
+                            ImpossibleOutcomeError, PriorSpec, SIGMA_DEFAULT,
                             T_SATURATION, bayes_update, entropy,
-                            expected_gain, gaussian_prior, posterior_stats,
-                            uniform_prior)
+                            expected_gain, posterior_stats, uniform_prior)
 from quditmag.core import balanced_state, fourier_gate, xy_state
 from quditmag.decoherence import DecoherenceParams
 
@@ -17,8 +16,7 @@ NO_DECAY = DecoherenceParams.none()
 
 @pytest.fixture(scope="module")
 def acceptance_prior():
-    grid = FieldGrid.centered(SIGMA_DEFAULT, 12.0, 8192)
-    return gaussian_prior(grid, 0.0, SIGMA_DEFAULT)
+    return PriorSpec(0.0, SIGMA_DEFAULT, 12.0, 8192).build()
 
 
 def test_grid_construction():
@@ -29,6 +27,8 @@ def test_grid_construction():
         FieldGrid(1.0, -1.0, 5)
     with pytest.raises(ValueError):
         FieldGrid(0.0, 1.0, 1)
+    with pytest.raises(ValueError, match="prior width"):
+        PriorSpec(sigma=0.0).build()
 
 
 def test_gaussian_prior_symmetric(acceptance_prior):
@@ -40,8 +40,7 @@ def test_gaussian_prior_symmetric(acceptance_prior):
 
 
 def test_gaussian_prior_differential_entropy():
-    grid = FieldGrid.centered(SIGMA_DEFAULT, 12.0, 100_000)
-    prior = gaussian_prior(grid, 0.0, SIGMA_DEFAULT)
+    prior = PriorSpec(0.0, SIGMA_DEFAULT, 12.0, 100_000).build()
     analytic = 0.5 * np.log(2.0 * np.pi * np.e * SIGMA_DEFAULT ** 2)
     assert differential_entropy(prior) == pytest.approx(analytic, abs=1e-3)
 
@@ -69,8 +68,8 @@ def test_bayes_update_indicator_likelihood(acceptance_prior):
 
 def test_bayes_update_conjugate_gaussian_product():
     sigma1, sigma2 = 1.0, 0.6
-    grid = FieldGrid(-8.0, 8.0, 16384)
-    prior = gaussian_prior(grid, 0.0, sigma1)
+    prior = PriorSpec(0.0, sigma1, 16.0, 16384).build()  # grid [-8, 8]
+    grid = prior.grid
     lik = np.exp(-grid.points ** 2 / (2.0 * sigma2 ** 2))
     post = bayes_update(prior, lik)
     _, std = posterior_stats(post)
@@ -115,8 +114,7 @@ def test_expected_gain_grid_refinement_stable():
     for t in (T_SATURATION, 5.0 * T_SATURATION):
         gains = []
         for m in (8192, 16384):
-            grid = FieldGrid.centered(SIGMA_DEFAULT, 12.0, m)
-            prior = gaussian_prior(grid, 0.0, SIGMA_DEFAULT)
+            prior = PriorSpec(0.0, SIGMA_DEFAULT, 12.0, m).build()
             gains.append(expected_gain(prior, t, xy_state(0.0, 0.0),
                                        fourier_gate(3), NO_DECAY))
         assert abs(gains[1] - gains[0]) < 1e-3

@@ -150,6 +150,21 @@ def test_malformed_config_exits_2_without_files(tmp_path, capsys, command,
     assert not os.path.exists(out)
 
 
+def test_compare_checks_every_kind_before_computing(tmp_path, capsys,
+                                                    monkeypatch):
+    """A bad kind listed after a good one is a config error raised before
+    the first ensemble runs."""
+    def no_ensemble(config):
+        raise AssertionError("an ensemble ran before every kind was checked")
+    monkeypatch.setattr("quditmag.cli.run_ensemble", no_ensemble)
+    cfg = write(tmp_path, "bad.ini", "[compare]\nprotocols = lama, fourier\n"
+                "[fourier]\nt1_us = 0.01\n[prior]\ngrid_points = 1024\n")
+    out = str(tmp_path / "bad_out")
+    assert main(["compare", "--config", cfg, "--out", out]) == 2
+    assert "t1_us" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("out", ["taken", os.path.join("taken", "sub")])
 def test_out_under_a_file_exits_2_before_computing(tmp_path, capsys, out):
     """An --out that is, or lies under, an existing file is a config error

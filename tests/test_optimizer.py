@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from quditmag.bayes import (FieldGrid, SIGMA_DEFAULT, T_SATURATION,
-                            expected_gain, gaussian_prior)
+from quditmag.bayes import (PriorSpec, SIGMA_DEFAULT, T_SATURATION,
+                            expected_gain)
 from quditmag.core import fourier_gate, spin_xy_projection, xy_state
 from quditmag.decoherence import DecoherenceParams
 from quditmag.harness import first_step_gain_curve
@@ -15,8 +15,7 @@ NO_DECAY = DecoherenceParams.none()
 
 @pytest.fixture(scope="module")
 def prior():
-    grid = FieldGrid.centered(SIGMA_DEFAULT, 12.0, 2048)
-    return gaussian_prior(grid, 0.0, SIGMA_DEFAULT)
+    return PriorSpec(0.0, SIGMA_DEFAULT, 12.0, 2048).build()
 
 
 def test_rejects_degenerate_budget(prior):

@@ -5,8 +5,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (einsum_likelihood_grid, entropy_difference_gain,
                      entrywise_decohere_channel)
-from quditmag.bayes import (FieldGrid, SIGMA_DEFAULT, bayes_update,
-                            expected_gain, gaussian_prior)
+from quditmag.bayes import (FieldGrid, PriorSpec, SIGMA_DEFAULT,
+                            bayes_update, expected_gain)
 from quditmag.core import balanced_state, fourier_gate, pulse_unitary, xy_state
 from quditmag.decoherence import (DecoherenceParams, decohere_channel,
                                   likelihood_grid)
@@ -53,7 +53,7 @@ def test_likelihood_is_a_probability_vector(measurement, m):
 @given(measurements(), measurements(), st.integers(0, 2), st.integers(0, 2),
        st.integers(2, 512))
 def test_bayes_updates_commute(first, second, xi_a, xi_b, m):
-    prior = gaussian_prior(FieldGrid.centered(SIGMA_DEFAULT, 12.0, m))
+    prior = PriorSpec(0.0, SIGMA_DEFAULT, 12.0, m).build()
 
     def likelihood(measurement, xi):
         prep, readout, t, params = measurement
@@ -76,7 +76,7 @@ def test_expected_gain_is_the_entropy_difference(measurement, m):
     """The mutual-information gain equals the expected drop from prior to
     posterior entropy, computed outcome by outcome."""
     prep, readout, t, params = measurement
-    prior = gaussian_prior(FieldGrid.centered(SIGMA_DEFAULT, 12.0, m))
+    prior = PriorSpec(0.0, SIGMA_DEFAULT, 12.0, m).build()
     gain = expected_gain(prior, t, prep, readout, params)
     reference = entropy_difference_gain(prior, t, prep, readout, params)
     assert abs(gain - reference) <= 1e-12

@@ -3,20 +3,20 @@
 import numpy as np
 import pytest
 
-from quditmag.bayes import (FieldGrid, SIGMA_DEFAULT, T_SATURATION, entropy,
-                            gaussian_prior, uniform_prior)
+from quditmag.bayes import (FieldGrid, PriorSpec, SIGMA_DEFAULT, entropy,
+                            uniform_prior)
 from quditmag.core import balanced_state, fourier_gate, xy_state
 from quditmag.decoherence import DecoherenceParams
+from quditmag.optimizer import optimize_step_params
 from oracles import kitaev_max_steps
-from quditmag.protocols import (PROTOCOL_KINDS, ProtocolConfig,
+from quditmag.protocols import (PROTOCOL_KINDS, READOUT, ProtocolConfig,
                                 fourier_feedback_phase, fourier_max_steps,
-                                plan_step, run_protocol, schedule_delays)
+                                run_protocol, schedule_delays, step_prep)
 
 
 @pytest.fixture(scope="module")
 def prior():
-    grid = FieldGrid.centered(SIGMA_DEFAULT, 12.0, 1024)
-    return gaussian_prior(grid, 0.0, SIGMA_DEFAULT)
+    return PriorSpec(0.0, SIGMA_DEFAULT, 12.0, 1024).build()
 
 
 def test_schedules_match_their_rules():
@@ -43,6 +43,9 @@ def test_invalid_configs_rejected():
         ProtocolConfig("unknown", t1=1e-8, n_steps=3)
     with pytest.raises(ValueError):
         ProtocolConfig("lama", t1=0.0, n_steps=3)
+    # a schedule with a non-positive delay fails when the config is built
+    with pytest.raises(ValueError, match="delay"):
+        ProtocolConfig("lama", t1=15e-9, dt=-10e-9, n_steps=5)
 
 
 def test_feedback_phase_weights_recent_outcomes_strongest():
@@ -53,16 +56,14 @@ def test_feedback_phase_weights_recent_outcomes_strongest():
 
 
 def test_prep_states_per_protocol():
-    t1 = 15e-9
-    lama = plan_step(3, ProtocolConfig("lama", t1=t1, dt=40e-9, n_steps=5), [0, 2])
-    assert np.allclose(lama.prep, xy_state(0.0, 0.0), atol=1e-12)
-    kitaev = plan_step(2, ProtocolConfig("kitaev", t1=t1, n_steps=5), [1])
-    assert np.allclose(kitaev.prep, balanced_state(3), atol=1e-12)
-    fourier = plan_step(2, ProtocolConfig("fourier", t1=2.4e-6, n_steps=5), [1])
-    assert np.allclose(np.abs(fourier.prep), 1.0 / np.sqrt(3), atol=1e-12)
-    modified = plan_step(2, ProtocolConfig("fourier_modified", t1=2.4e-6,
-                                           n_steps=5), [1])
-    assert np.allclose(np.abs(modified.prep),
+    lama = step_prep("lama", [0, 2])
+    assert np.allclose(lama, xy_state(0.0, 0.0), atol=1e-12)
+    kitaev = step_prep("kitaev", [1])
+    assert np.allclose(kitaev, balanced_state(3), atol=1e-12)
+    fourier = step_prep("fourier", [1])
+    assert np.allclose(np.abs(fourier), 1.0 / np.sqrt(3), atol=1e-12)
+    modified = step_prep("fourier_modified", [1])
+    assert np.allclose(np.abs(modified),
                        [0.5, 1.0 / np.sqrt(2), 0.5], atol=1e-12)
 
 
@@ -84,10 +85,11 @@ def test_plan_step_closed_forms(kind):
         "fourier_modified": (t1 / 27.0,
                              np.array([0.5, 1.0 / np.sqrt(2.0), 0.5]) * feedback),
     }[kind]
-    plan = plan_step(4, config, history)
-    assert plan.delay == pytest.approx(delay, rel=1e-15)
-    np.testing.assert_allclose(plan.prep, prep, rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(plan.readout, fourier_gate(3))
+    assert schedule_delays(config)[3] == pytest.approx(delay, rel=1e-15)
+    np.testing.assert_allclose(step_prep(kind, history), prep,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(READOUT, fourier_gate(3))
+    assert not READOUT.flags.writeable
 
 
 def test_lama_prep_outcome_independent(prior):
@@ -98,8 +100,23 @@ def test_lama_prep_outcome_independent(prior):
     b = run_protocol(config, prior, rng_seed=0,
                      forced_outcomes=[2, 1, 0, 2, 1, 0])
     for step_a, step_b in zip(a.steps, b.steps):
-        assert np.array_equal(step_a.plan.prep, step_b.plan.prep)
-        assert step_a.plan.delay == step_b.plan.delay
+        assert np.array_equal(step_a.prep, step_b.prep)
+        assert step_a.delay == step_b.delay
+
+
+def test_array_holding_records_support_eq_and_hash(prior):
+    """Records that hold arrays compare and hash by identity instead of
+    raising on their array fields."""
+    config = ProtocolConfig("lama", t1=15e-9, dt=40e-9, n_steps=2)
+    a = run_protocol(config, prior, rng_seed=0)
+    b = run_protocol(config, prior, rng_seed=0)
+    search = [optimize_step_params(prior, 15e-9, DecoherenceParams.none(),
+                                   budget=5, n_starts=1) for _ in range(2)]
+    pairs = [(a, b), (a.steps[0], b.steps[0]), (prior, a.steps[0].posterior),
+             tuple(search)]
+    for x, y in pairs:
+        assert x == x and x != y
+        assert len({x, y}) == 2
 
 
 def test_step_count_helpers():
