@@ -153,9 +153,14 @@ def schema_for(command: str) -> dict:
 
 def _to_si(key: str, value) -> tuple:
     """(key minus its time-unit suffix, value in seconds) for a scalar or
-    tuple; other keys keep their value (rad and rad/s are already SI)."""
+    tuple; other keys keep their value (rad and rad/s are already SI).  A
+    nonzero time that underflows to 0 s is a ConfigError."""
     for suffix, factor in _UNIT_FACTORS.items():
         if key.endswith(suffix):
+            for v in value if isinstance(value, tuple) else (value,):
+                if v != 0 and v * factor == 0:
+                    raise ConfigError(f"key '{key}': {v:g} {suffix[1:]} "
+                                      "underflows to 0 s")
             if isinstance(value, tuple):
                 return key.removesuffix(suffix), tuple(v * factor for v in value)
             return key.removesuffix(suffix), value * factor
@@ -211,8 +216,8 @@ def prior_from(config: dict) -> PriorSpec:
 
 def decoherence_from(config: dict) -> DecoherenceParams:
     """Rates from the [decoherence] section (inf coherence time = no decay)."""
-    t_c = config["decoherence"]["coherence_time_us"]
-    return DecoherenceParams.from_coherence_time(t_c * 1e-6)
+    return DecoherenceParams.from_coherence_time(
+        si_seconds(config, "decoherence", "coherence_time_us"))
 
 
 def si_seconds(config: dict, section: str, key: str) -> float:

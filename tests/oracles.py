@@ -12,6 +12,7 @@ in any workload, so they live here and not in ``quditmag``.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import exprel
 
 from quditmag.bayes import LN2, FieldDistribution, entropy
 from quditmag.decoherence import DecoherenceParams, likelihood_grid
@@ -116,8 +117,9 @@ def entrywise_decohere_channel(pi, t: float, params: DecoherenceParams):
     scale = max(g10, g21)
     if scale == 0.0:
         feed = np.zeros_like(np.asarray(t, dtype=float))
-    elif abs(g21 - g10) <= 1e-9 * scale:
-        feed = g10 * t * np.exp(-g10 * t)
+    elif abs(g21 - g10) <= 0.1 * scale:
+        feed = (g21 * t * np.exp(-min(g10, g21) * t)
+                * exprel(-abs(g21 - g10) * t))
     else:
         feed = g21 / (g21 - g10) * (np.exp(-g10 * t) - np.exp(-g21 * t))
 

@@ -140,6 +140,20 @@ def test_csv_cells_use_fixed_notation(tmp_path):
     pytest.param("gain-curve", "[gain-curve]\nn_t = 5\n"
                  "[prior]\ngrid_points = 64\n", ["--seed", "-1"], "--seed",
                  id="negative-seed"),
+    # each passes the schema's > 0 check and underflows to 0 s
+    pytest.param("gain-curve", "[gain-curve]\nn_t = 5\n[prior]\n"
+                 "grid_points = 64\n[decoherence]\ncoherence_time_us = 1e-320\n",
+                 [], "coherence_time_us", id="coherence-time-underflow"),
+    pytest.param("lama-trace", "[lama-trace]\noutcomes = 0\nt1_ns = 1e-320\n"
+                 "[prior]\ngrid_points = 64\n", [], "t1_ns",
+                 id="trace-t1-underflow"),
+    pytest.param("compare", "[compare]\nprotocols = classical\n"
+                 "n_steps = 2\nn_experiments = 1\n[classical]\n"
+                 "t1_ns = 1e-320\n[prior]\ngrid_points = 64\n", [], "t1_ns",
+                 id="classical-t1-underflow"),
+    pytest.param("optimize", "[optimize]\nt_ns = 1e-320\nbudget = 5\n"
+                 "n_starts = 1\n[prior]\ngrid_points = 64\n", [], "t_ns",
+                 id="optimize-t-underflow"),
 ])
 def test_malformed_config_exits_2_without_files(tmp_path, capsys, command,
                                                 text, extra, offender):

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from quditmag import protocols
 from quditmag.bayes import SIGMA_DEFAULT
 from quditmag.decoherence import DecoherenceParams
 from quditmag.harness import (EnsembleConfig, GainCurve, PriorSpec,
                               estimate_period, first_step_gain_curve,
                               max_sliding_alpha, oscillation_study,
                               run_ensemble, scaling_exponent, sliding_alpha)
-from quditmag.protocols import ProtocolConfig, run_protocol
+from quditmag.protocols import (PROTOCOL_KINDS, ProtocolConfig,
+                                fourier_max_steps, run_protocol)
 
 SMALL_PRIOR = PriorSpec(m=1024)
 
@@ -42,6 +44,30 @@ def test_single_experiment_equals_trajectory():
     assert np.allclose(curve.mean_gain_bits, traj.cumulative_gain_bits(),
                        atol=1e-12)
     assert np.all(curve.stderr == 0.0)
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_every_step_calls_the_kernel(monkeypatch, kind):
+    """One ``likelihood_grid`` call per PER step of every experiment, at
+    that step's delay: the count the benchmark's ensemble identity pins.
+    The kernel may reuse a table, but no step may skip the call."""
+    calls = []
+    kernel = protocols.likelihood_grid
+
+    def counted(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(protocols, "likelihood_grid", counted)
+    if kind.startswith("fourier"):
+        t1, n_steps = 2.4e-6, fourier_max_steps(2.4e-6)
+    else:
+        t1, n_steps = 15e-9, 6
+    protocol = ProtocolConfig(kind, t1=t1, n_steps=n_steps, dt=40e-9,
+                              decoherence=DecoherenceParams.from_coherence_time(5e-6))
+    run_ensemble(EnsembleConfig(protocol=protocol, n_experiments=3,
+                                prior=PriorSpec(m=256)))
+    assert calls == list(protocols.schedule_delays(protocol)) * 3
 
 
 def test_stderr_shrinks_with_ensemble_size():

@@ -1,6 +1,9 @@
 """Physical invariants checked on generated inputs."""
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (einsum_likelihood_grid, entropy_difference_gain,
@@ -95,6 +98,9 @@ def channel_rates(draw):
 @given(channel_rates(), delays)
 # equal rates so small that the degenerate-rate tolerance underflows to 0
 @example(DecoherenceParams(5e-324, 5e-324, 0.0), 0.0)
+# a relative rate gap of 1e-5: the difference of exponentials in the
+# cascade feed cancelled to a Choi eigenvalue of -4.6e-12
+@example(DecoherenceParams(1.0, 0.99999, 0.0), 5.424091389358289e-08)
 def test_channel_is_cptp(params, t):
     """Choi matrix of ``decohere_channel``: Hermitian, positive semidefinite
     and with the identity as its partial trace over the output.  The channel
@@ -150,8 +156,37 @@ def test_kernel_equals_the_einsum_oracle_exactly(measurement, m):
     prep, readout, t, params = measurement
     # the default prior grid; its lower end alone when m = 1
     omegas = np.linspace(-6.0 * SIGMA_DEFAULT, 6.0 * SIGMA_DEFAULT, m)
-    assert _same_bytes(likelihood_grid(prep, t, readout, omegas, params),
+    table = likelihood_grid(prep, t, readout, omegas, params)
+    assert _same_bytes(table,
                        einsum_likelihood_grid(prep, t, readout, omegas, params))
+
+    # the same arguments again, in new arrays: the stored table, read-only
+    again = likelihood_grid(prep.copy(), t, readout.copy(), omegas.copy(),
+                            params)
+    assert again is table and not again.flags.writeable
+    with pytest.raises(ValueError):
+        again[0, 0] = 0.5
+
+    # one argument one ulp away: a new table, the oracle's for the new call
+    def ulp(a, index):
+        """Copy of ``a`` with one float64 (of a complex entry, its real or
+        imaginary part) one ulp up."""
+        a = a.copy()
+        parts = a.view(float)
+        parts[index] = np.nextafter(parts[index], np.inf)
+        return a
+
+    up = float(np.nextafter(params.gamma_phi, np.inf))
+    for changed in ((prep, float(np.nextafter(t, np.inf)), readout, omegas,
+                     params),
+                    (ulp(prep, 2), t, readout, omegas, params),
+                    (prep, t, ulp(readout, (2, 2)), omegas, params),
+                    (prep, t, readout, ulp(omegas, m // 2), params),
+                    (prep, t, readout, omegas, replace(params, gamma_phi=up))):
+        base = likelihood_grid(prep, t, readout, omegas, params)
+        table = likelihood_grid(*changed)
+        assert table is not base
+        assert _same_bytes(table, einsum_likelihood_grid(*changed))
 
 
 @settings(max_examples=300, deadline=None)
