@@ -19,8 +19,8 @@ from .core import (balanced_state, fourier_gate, pulse_unitary,
 from .decoherence import DecoherenceParams, decohere_channel, likelihood_grid
 from .harness import (EnsembleConfig, GainCurve, OscillationResult,
                       ScalingEstimate, first_step_gain_curve,
-                      max_sliding_alpha, oscillation_study, run_ensemble,
-                      scaling_exponent, sliding_alpha)
+                      oscillation_study, run_ensemble, scaling_exponent,
+                      sliding_alpha)
 from .optimizer import OptimizationResult, optimize_step_params
 from .protocols import (READOUT, ProtocolConfig, ProtocolTrajectory,
                         StepRecord, fourier_max_steps, run_protocol,

@@ -145,17 +145,11 @@ def cmd_oscillations(config: dict, seed: int, flux_axis: bool):
     """Expected-gain oscillation study with fitted periods."""
     section = config["oscillations"]
     kind = section["kind"]
-    if kind == "discreteness":
-        variants = section["variants_points"]
-        if not variants:
-            raise ConfigError("key 'variants_points' in section [oscillations]: "
-                              "required for the discreteness study")
-    else:
-        variants = section["variants_rad_per_s"]
-        if not variants:
-            raise ConfigError("key 'variants_rad_per_s' in section "
-                              f"[oscillations]: required for the {kind} study")
-    results = oscillation_study(kind, variants,
+    key = "variants_points" if kind == "discreteness" else "variants_rad_per_s"
+    if not section[key]:
+        raise ConfigError(f"key '{key}' in section [oscillations]: "
+                          f"required for the {kind} study")
+    results = oscillation_study(kind, section[key],
                                 sigma=config["prior"]["sigma_rad_per_s"],
                                 n_t=section["n_t"], m=section["grid_points"])
     rows = [(r.variant, t * 1e9, g)
@@ -247,7 +241,8 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (ImpossibleOutcomeError, ValueError) as err:
+    except (ImpossibleOutcomeError, ValueError, MemoryError,
+            OverflowError) as err:
         print(f"model error: {err}", file=sys.stderr)
         return 1
 

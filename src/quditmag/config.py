@@ -145,12 +145,6 @@ COMMAND_SCHEMAS = {
 }
 
 
-def schema_for(command: str) -> dict:
-    if command not in COMMAND_SCHEMAS:
-        raise ConfigError(f"unknown command {command!r}")
-    return {**_SHARED_SCHEMA, **COMMAND_SCHEMAS[command]}
-
-
 def _to_si(key: str, value) -> tuple:
     """(key minus its time-unit suffix, value in seconds) for a scalar or
     tuple; other keys keep their value (rad and rad/s are already SI).  A
@@ -173,7 +167,9 @@ def load_config(path: str, command: str) -> dict:
     Returns {section: {key: value}} with every schema default filled in;
     values keep their config units (the manifest echoes this dict verbatim).
     """
-    schema = schema_for(command)
+    if command not in COMMAND_SCHEMAS:
+        raise ConfigError(f"unknown command {command!r}")
+    schema = {**_SHARED_SCHEMA, **COMMAND_SCHEMAS[command]}
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as handle:
@@ -241,4 +237,8 @@ def protocol_from(config: dict, kind: str) -> ProtocolConfig:
                 f"{max_steps} steps from t1_us = {config[kind]['t1_us']:g} us "
                 f"stay above the {T_SATURATION * 1e9:g} ns floor, n_steps = "
                 f"{config[kind]['n_steps']} (0 for all of them)")
+    n = fields["n_steps"]      # 3.0 ** 647 overflows, whatever t1 is
+    if kind == "kitaev" and (n > 647 or math.isinf(fields["t1"] * 3.0 ** (n - 1))):
+        raise ConfigError(f"keys 't1_ns' and 'n_steps' in section [kitaev]: the "
+                          f"last delay t1_ns * 3^(n_steps - 1) overflows, n_steps = {n}")
     return ProtocolConfig(kind, decoherence=decoherence_from(config), **fields)

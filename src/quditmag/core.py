@@ -29,23 +29,17 @@ def fourier_gate(d: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
 
 
-def pulse_hamiltonian(eps: float, delta1: float, delta2: float) -> np.ndarray:
-    """Effective Hamiltonian of the two-tone rectangular rf-pulse."""
-    return np.array([[0.0, delta1, 0.0],
-                     [delta1, 2.0 * eps, delta2],
-                     [0.0, delta2, 0.0]])
-
-
 def pulse_unitary(eps: float, delta1: float, delta2: float) -> np.ndarray:
-    """exp(-i H) for the pulse Hamiltonian.
+    """exp(-i H) for the two-tone rectangular rf-pulse's effective H.
 
     H is real symmetric, so the exponential is computed exactly through its
     eigendecomposition (no series truncation).
     """
     if not (np.isfinite(eps) and np.isfinite(delta1) and np.isfinite(delta2)):
         raise ValueError("pulse parameters must be finite")
-    h = pulse_hamiltonian(eps, delta1, delta2)
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = np.linalg.eigh(np.array([[0.0, delta1, 0.0],
+                                            [delta1, 2.0 * eps, delta2],
+                                            [0.0, delta2, 0.0]]))
     return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
 
 

@@ -116,14 +116,6 @@ def sliding_alpha(curve: GainCurve, center_range: tuple[float, float]
     return estimates
 
 
-def max_sliding_alpha(curve: GainCurve, center_range: tuple[float, float]
-                      ) -> ScalingEstimate:
-    estimates = sliding_alpha(curve, center_range)
-    if not estimates:
-        raise ValueError("no valid scaling windows in the requested range")
-    return max(estimates, key=lambda e: e.alpha)
-
-
 def first_step_gain_curve(prior: FieldDistribution, t_values,
                           prep=None,
                           params: DecoherenceParams = DecoherenceParams.none()
@@ -135,10 +127,11 @@ def first_step_gain_curve(prior: FieldDistribution, t_values,
                      for t in t_values])
 
 
-def _detrend(y: np.ndarray) -> np.ndarray:
-    """Remove the slow saturation baseline with a wide moving average."""
+def _detrended_peaks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y minus its slow saturation baseline, and that residual's peaks."""
     size = max(len(y) // 10, 5)
-    return y - uniform_filter1d(y, size=size, mode="nearest")
+    resid = y - uniform_filter1d(y, size=size, mode="nearest")
+    return resid, find_peaks(resid, prominence=PEAK_PROMINENCE_BITS)[0]
 
 
 def estimate_period(t: np.ndarray, gain: np.ndarray) -> float | None:
@@ -147,8 +140,7 @@ def estimate_period(t: np.ndarray, gain: np.ndarray) -> float | None:
     Returns None when no peaks exceed the prominence floor (oscillation
     reported as absent).
     """
-    resid = _detrend(gain)
-    peaks, _ = find_peaks(resid, prominence=PEAK_PROMINENCE_BITS)
+    _, peaks = _detrended_peaks(gain)
     if len(peaks) < 2:
         return None
     return float(np.median(np.diff(t[peaks])))
@@ -157,8 +149,7 @@ def estimate_period(t: np.ndarray, gain: np.ndarray) -> float | None:
 def estimate_revival_time(t: np.ndarray, gain: np.ndarray,
                           t_min: float) -> float | None:
     """Location of the most prominent late-time peak (grid revival)."""
-    resid = _detrend(gain)
-    peaks, _ = find_peaks(resid, prominence=PEAK_PROMINENCE_BITS)
+    resid, peaks = _detrended_peaks(gain)
     keep = peaks[t[peaks] >= t_min]
     if len(keep) == 0:
         return None

@@ -65,9 +65,6 @@ class ProtocolTrajectory:
     def cumulative_gain_bits(self) -> np.ndarray:
         return np.cumsum([s.gain_bits for s in self.steps])
 
-    def outcomes(self) -> list[int]:
-        return [s.outcome for s in self.steps]
-
 
 def fourier_feedback_phase(previous_outcomes) -> float:
     """Phase alpha_i = -(2 pi / 3) sum_j xi_{i-j} / 3^j accumulated from the

@@ -16,6 +16,7 @@ from scipy.special import exprel
 
 from quditmag.bayes import LN2, FieldDistribution, entropy
 from quditmag.decoherence import DecoherenceParams, likelihood_grid
+from quditmag.harness import GainCurve, ScalingEstimate, sliding_alpha
 
 UNITARITY_TOL = 1e-12
 
@@ -207,3 +208,12 @@ def kitaev_max_steps(t1: float, t_ceiling: float) -> int:
     if t_ceiling < t1:
         return 0
     return int(np.floor(np.log(t_ceiling / t1) / np.log(3.0))) + 1
+
+
+def max_sliding_alpha(curve: GainCurve, center_range: tuple[float, float]
+                      ) -> ScalingEstimate:
+    """The steepest of the sliding scaling fits centered in center_range."""
+    estimates = sliding_alpha(curve, center_range)
+    if not estimates:
+        raise ValueError("no valid scaling windows in the requested range")
+    return max(estimates, key=lambda e: e.alpha)

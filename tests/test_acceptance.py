@@ -15,12 +15,11 @@ import pytest
 
 import quditmag as qm
 from oracles import (dephased_fourier_prob, is_density_matrix,
-                     lindblad_oracle, phase_evolution)
+                     lindblad_oracle, max_sliding_alpha, phase_evolution)
 from quditmag.bayes import expected_gain
 from quditmag.decoherence import likelihood_grid
-from quditmag.harness import (EnsembleConfig, PriorSpec, max_sliding_alpha,
-                              oscillation_study, run_ensemble,
-                              scaling_exponent)
+from quditmag.harness import (EnsembleConfig, PriorSpec, oscillation_study,
+                              run_ensemble, scaling_exponent)
 from quditmag.optimizer import optimize_step_params
 from quditmag.protocols import (READOUT, ProtocolConfig, run_protocol,
                                 schedule_delays, step_prep)
@@ -125,7 +124,7 @@ def _fourier_step_gain(t1, step_index, m=16384, seed=0):
     traj = run_protocol(config, prior, rng_seed=seed)
     dist = traj.steps[-1].posterior if traj.steps else prior
     delay = schedule_delays(replace(config, n_steps=step_index))[-1]
-    prep = step_prep("fourier", traj.outcomes())
+    prep = step_prep("fourier", [s.outcome for s in traj.steps])
     return expected_gain(dist, delay, prep, READOUT, NO_DECAY)
 
 
@@ -182,19 +181,37 @@ def test_criterion_9_lama_beats_geometric(criterion, lama_curve):
               f"at t_phi {t_match * 1e6:.1f} us, ratio {ratio:.2f}")
 
 
-def test_criterion_10_optimizer_fourier_readout(criterion, prior_8192):
+def _readout_searches(prior, t):
+    """Criterion 10's two searches at delay t: Fourier readout, free readout."""
+    fixed = optimize_step_params(prior, t, NO_DECAY, budget=600, rng_seed=1,
+                                 n_starts=10, fix_readout=F3)
+    full = optimize_step_params(prior, t, NO_DECAY, budget=3000, rng_seed=5,
+                                n_starts=24)
+    return fixed, full
+
+
+@pytest.fixture(scope="module")
+def search_prior():
+    return PriorSpec(m=4096).build()
+
+
+@pytest.fixture(scope="module")
+def plateau_searches(search_prior):
+    """The 5 T_s searches, shared by criterion 10 and its plateau companion."""
+    return _readout_searches(search_prior, 5.0 * T_S)
+
+
+def test_criterion_10_optimizer_fourier_readout(criterion, prior_8192,
+                                                search_prior, plateau_searches):
     """Expected red at t = T_s: the free-readout optimum measurably exceeds
     the Fourier-readout optimum below saturation (the advantage is grid- and
     start-independent; it vanishes on the plateau, where the two agree to
     machine precision)."""
-    search_prior = PriorSpec(m=4096).build()
     details = []
     ok = True
-    for t, label in ((T_S, "T_s"), (5.0 * T_S, "5 T_s")):
-        fixed = optimize_step_params(search_prior, t, NO_DECAY, budget=600,
-                                     rng_seed=1, n_starts=10, fix_readout=F3)
-        full = optimize_step_params(search_prior, t, NO_DECAY, budget=3000,
-                                    rng_seed=5, n_starts=24)
+    for t, label, (fixed, full) in (
+            (T_S, "T_s", _readout_searches(search_prior, T_S)),
+            (5.0 * T_S, "5 T_s", plateau_searches)):
         # optimize on the fast grid, re-score on the acceptance grid
         fixed_gain = expected_gain(prior_8192, t, fixed.best_prep, F3, NO_DECAY)
         full_gain = expected_gain(prior_8192, t, full.best_prep,
@@ -208,15 +225,10 @@ def test_criterion_10_optimizer_fourier_readout(criterion, prior_8192):
               ok, "; ".join(details))
 
 
-def test_optimal_readout_is_fourier_only_at_plateau():
+def test_optimal_readout_is_fourier_only_at_plateau(plateau_searches):
     """Companion to criterion 10: on the plateau the free-readout search
     reproduces the Fourier-readout optimum to machine precision."""
-    prior = PriorSpec(m=4096).build()
-    t = 5.0 * T_S
-    fixed = optimize_step_params(prior, t, NO_DECAY, budget=600, rng_seed=1,
-                                 n_starts=10, fix_readout=F3)
-    full = optimize_step_params(prior, t, NO_DECAY, budget=3000, rng_seed=5,
-                                n_starts=24)
+    fixed, full = plateau_searches
     assert abs(full.best_gain - fixed.best_gain) <= 1e-3
 
 

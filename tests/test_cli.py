@@ -154,13 +154,35 @@ def test_csv_cells_use_fixed_notation(tmp_path):
     pytest.param("optimize", "[optimize]\nt_ns = 1e-320\nbudget = 5\n"
                  "n_starts = 1\n[prior]\ngrid_points = 64\n", [], "t_ns",
                  id="optimize-t-underflow"),
+    # the delay rule's 3.0 ** (i - 1) overflows from i = 648 on
+    pytest.param("compare", "[compare]\nprotocols = kitaev\n"
+                 "[kitaev]\nn_steps = 700\n", [],
+                 "'n_steps' in section [kitaev]", id="kitaev-delay-overflow"),
 ])
 def test_malformed_config_exits_2_without_files(tmp_path, capsys, command,
                                                 text, extra, offender):
     cfg = write(tmp_path, "bad.ini", text)
     out = str(tmp_path / "bad_out")
     assert main([command, "--config", cfg, "--out", out, *extra]) == 2
-    assert offender in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert offender in err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("error", [MemoryError, OverflowError])
+def test_memory_and_overflow_errors_exit_1_without_files(tmp_path, capsys,
+                                                         monkeypatch, error):
+    """A MemoryError or OverflowError raised while computing is a model
+    error: exit 1, one stderr line, nothing written."""
+    def fail(*args, **kwargs):
+        raise error("no room for the gain curve")
+    monkeypatch.setattr("quditmag.cli.first_step_gain_curve", fail)
+    cfg = write(tmp_path, "gc.ini", GAIN_CURVE_INI.format(prep="xy", n_t=3))
+    out = str(tmp_path / "out")
+    assert main(["gain-curve", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == \
+        "model error: no room for the gain curve\n"
     assert not os.path.exists(out)
 
 
@@ -376,10 +398,19 @@ grid_points = 1024
     assert periods[0] / periods[1] == pytest.approx(2.0, rel=0.2)
 
 
-def test_oscillations_missing_variants_is_config_error(tmp_path, capsys):
-    cfg = write(tmp_path, "osc.ini", "[oscillations]\nkind = edge\n")
+@pytest.mark.parametrize("kind, key", [
+    pytest.param("edge", "variants_rad_per_s", id="edge"),
+    pytest.param("center", "variants_rad_per_s", id="center"),
+    pytest.param("discreteness", "variants_points", id="discreteness"),
+])
+def test_oscillations_missing_variants_is_config_error(tmp_path, capsys,
+                                                       kind, key):
+    cfg = write(tmp_path, "osc.ini", f"[oscillations]\nkind = {kind}\n")
     out = str(tmp_path / "osc_bad")
     assert main(["oscillations", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: key '{key}' in section [oscillations]: "
+        f"required for the {kind} study\n")
     assert not os.path.exists(out)
 
 

@@ -6,10 +6,11 @@ import pytest
 from quditmag import protocols
 from quditmag.bayes import SIGMA_DEFAULT
 from quditmag.decoherence import DecoherenceParams
+from oracles import max_sliding_alpha
 from quditmag.harness import (EnsembleConfig, GainCurve, PriorSpec,
                               estimate_period, first_step_gain_curve,
-                              max_sliding_alpha, oscillation_study,
-                              run_ensemble, scaling_exponent, sliding_alpha)
+                              oscillation_study, run_ensemble,
+                              scaling_exponent, sliding_alpha)
 from quditmag.protocols import (PROTOCOL_KINDS, ProtocolConfig,
                                 fourier_max_steps, run_protocol)
 

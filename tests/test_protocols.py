@@ -133,7 +133,7 @@ def test_trajectory_determinism(kind, prior):
                             decoherence=DecoherenceParams.from_coherence_time(5e-6))
     a = run_protocol(config, prior, rng_seed=42)
     b = run_protocol(config, prior, rng_seed=42)
-    assert a.outcomes() == b.outcomes()
+    assert [s.outcome for s in a.steps] == [s.outcome for s in b.steps]
     for step_a, step_b in zip(a.steps, b.steps):
         assert np.array_equal(step_a.posterior.weights, step_b.posterior.weights)
         assert step_a.gain_bits == step_b.gain_bits
@@ -157,7 +157,7 @@ def test_forced_outcomes_replayed(prior):
     config = ProtocolConfig("lama", t1=15e-9, dt=40e-9, n_steps=4)
     traj = run_protocol(config, prior, rng_seed=0,
                         forced_outcomes=[1, 2, 0, 1])
-    assert traj.outcomes() == [1, 2, 0, 1]
+    assert [s.outcome for s in traj.steps] == [1, 2, 0, 1]
     with pytest.raises(ValueError):
         run_protocol(config, prior, rng_seed=0, forced_outcomes=[1])
     # an outcome outside {0, 1, 2} is rejected before the first step
