@@ -39,8 +39,8 @@ class FieldGrid:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("grid needs at least 2 points")
-        if not self.omega_max > self.omega_min:
-            raise ValueError("omega_max must exceed omega_min")
+        if not 0.0 < self.omega_max - self.omega_min < np.inf:
+            raise ValueError("grid span must be finite and positive")
 
     @property
     def points(self) -> np.ndarray:

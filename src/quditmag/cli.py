@@ -222,8 +222,10 @@ def main(argv=None) -> int:
         if seed < 0:
             raise ConfigError(f"--seed: expected a non-negative integer, "
                               f"got {seed}")
-        csv_files, summary = _COMMANDS[args.command](config, seed,
-                                                     args.flux_axis)
+        # overflow, x/0 and NaN are model errors; tails underflow legitimately
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            csv_files, summary = _COMMANDS[args.command](config, seed,
+                                                         args.flux_axis)
         manifest_name = args.command.replace("-", "_") + ".json"
         # Strict RFC 8259 JSON, made before any file is written.  The one
         # non-finite value that parses, +inf, goes in as "inf", as in the INI.
@@ -242,7 +244,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (ImpossibleOutcomeError, ValueError, MemoryError,
-            OverflowError) as err:
+            ArithmeticError) as err:
         print(f"model error: {err}", file=sys.stderr)
         return 1
 

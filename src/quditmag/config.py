@@ -120,8 +120,7 @@ COMMAND_SCHEMAS = {
     },
     "lama-trace": {
         "lama-trace": {
-            "t1_ns": (_number(above=0), 15.0),
-            "dt_ns": (_number(low=0), 40.0),
+            **_PROTOCOL_SCHEMA["lama"],
             "outcomes": (_list_of(_number(int, 0, 2)), REQUIRED),
         },
     },

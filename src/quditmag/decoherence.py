@@ -93,8 +93,6 @@ def _cascade_feed(gamma_10: float, gamma_21: float, t):
     G10 t e^{-G10 t}.
     """
     scale = max(gamma_10, gamma_21)
-    if scale == 0.0:
-        return np.zeros_like(np.asarray(t, dtype=float))
     gap = gamma_21 - gamma_10
     if abs(gap) <= _NEAR_DEGENERATE_RTOL * scale:
         low = min(gamma_10, gamma_21)

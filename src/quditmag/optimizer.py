@@ -30,18 +30,9 @@ class OptimizationResult:
     starts: int
     budget_exhausted: bool
     start_gains: np.ndarray = field(repr=False)
-
-    @property
-    def best_prep(self) -> np.ndarray:
-        return _prep_from(self.best_params)
-
-    @property
-    def best_readout(self) -> np.ndarray:
-        return pulse_unitary(*self.best_params[3:])
-
-
-def _prep_from(s) -> np.ndarray:
-    return pulse_unitary(s[0], s[1], s[2])[:, 0]
+    # the state and readout best_gain was scored with
+    best_prep: np.ndarray = field(repr=False)
+    best_readout: np.ndarray = field(repr=False)
 
 
 def optimize_step_params(dist: FieldDistribution, t: float,
@@ -53,8 +44,8 @@ def optimize_step_params(dist: FieldDistribution, t: float,
 
     ``budget`` caps objective evaluations per start (>= 100 for meaningful
     results).  With ``fix_readout`` set (e.g. to F_3), only the three
-    preparation parameters are searched and the readout parameters in the
-    result are zeros.  Deterministic given rng_seed.
+    preparation parameters are searched and the result holds ``fix_readout``
+    with zeros as readout parameters.  Deterministic given rng_seed.
     """
     if n_starts < 1:
         raise ValueError("need at least one start")
@@ -68,13 +59,15 @@ def optimize_step_params(dist: FieldDistribution, t: float,
     n_evals = 0
     exhausted = False
 
+    def pulses(s) -> tuple:
+        readout = fix_readout if fix_readout is not None \
+            else pulse_unitary(*s[3:])
+        return pulse_unitary(*s[:3])[:, 0], readout
+
     def objective(s) -> float:
         nonlocal n_evals
         n_evals += 1
-        prep = _prep_from(s[:3])
-        readout = fix_readout if fix_readout is not None \
-            else pulse_unitary(s[3], s[4], s[5])
-        return -expected_gain(dist, t, prep, readout, decoherence)
+        return -expected_gain(dist, t, *pulses(s), decoherence)
 
     best_s = None
     best_val = np.inf
@@ -96,10 +89,12 @@ def optimize_step_params(dist: FieldDistribution, t: float,
         best_val = res.fun
         best_s = res.x
 
+    best_prep, best_readout = pulses(best_s)
     if fix_readout is not None:
         best_s = np.concatenate([best_s, np.zeros(3)])
     return OptimizationResult(best_params=best_s,
                               best_gain=float(-best_val),
                               n_evaluations=n_evals, starts=n_starts,
                               budget_exhausted=exhausted,
-                              start_gains=start_gains)
+                              start_gains=start_gains, best_prep=best_prep,
+                              best_readout=best_readout)

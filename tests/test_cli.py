@@ -186,6 +186,28 @@ def test_memory_and_overflow_errors_exit_1_without_files(tmp_path, capsys,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command, text", [
+    # the last delays overflow omega * t in the kernel
+    pytest.param("compare", "[compare]\nprotocols = kitaev\n"
+                 "n_experiments = 1\n[kitaev]\nn_steps = 647\n[prior]\n"
+                 "grid_points = 16\n", id="kitaev-phase-overflow"),
+    # span_sigmas * sigma overflows to an infinite grid span
+    pytest.param("gain-curve", "[gain-curve]\nn_t = 3\n[prior]\n"
+                 "grid_points = 16\nsigma_rad_per_s = 1e308\n",
+                 id="infinite-grid-span"),
+])
+def test_numeric_faults_exit_1_without_files(tmp_path, capsys, command,
+                                              text):
+    """A floating-point overflow, division by zero or NaN while computing
+    is a model error: exit 1, one stderr line, nothing written."""
+    cfg = write(tmp_path, "bad.ini", text)
+    out = str(tmp_path / "bad_out")
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("model error: ") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 def test_compare_checks_every_kind_before_computing(tmp_path, capsys,
                                                     monkeypatch):
     """A bad kind listed after a good one is a config error raised before

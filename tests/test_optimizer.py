@@ -56,6 +56,19 @@ def test_result_beats_every_start(prior):
     assert rescored == pytest.approx(result.best_gain, abs=1e-12)
 
 
+@pytest.mark.parametrize("fix_readout", [fourier_gate(3), None],
+                         ids=["fixed", "free"])
+def test_result_pulses_rescore_to_best_gain(prior, fix_readout):
+    """best_prep and best_readout are the pulses best_gain was scored with,
+    a fixed readout included."""
+    t = T_SATURATION
+    result = optimize_step_params(prior, t, NO_DECAY, budget=150, rng_seed=4,
+                                  n_starts=2, fix_readout=fix_readout)
+    rescored = expected_gain(prior, t, result.best_prep, result.best_readout,
+                             NO_DECAY)
+    assert rescored == pytest.approx(result.best_gain, abs=1e-12)
+
+
 def test_plateau_universality(prior):
     """Every xy-plane state reaches the same plateau gain."""
     rng = np.random.default_rng(2)

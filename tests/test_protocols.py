@@ -68,7 +68,7 @@ def test_prep_states_per_protocol():
 
 
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
-def test_plan_step_closed_forms(kind):
+def test_step_rules_closed_forms(kind):
     """Step 4 after outcomes (2, 0, 1): closed-form delay, prep and F_3
     readout; the Fourier preps carry amps * exp(i alpha k)."""
     t1, dt = 15e-9, 40e-9
@@ -147,7 +147,7 @@ def test_gain_telescoping(prior):
     assert total == pytest.approx(direct, abs=1e-9)
 
 
-def test_fixed_mode_requires_true_field(prior):
+def test_fixed_field_mode_runs_every_step(prior):
     config = ProtocolConfig("classical", t1=15e-9, n_steps=3)
     traj = run_protocol(config, prior, rng_seed=0, true_omega=1e7)
     assert len(traj.steps) == 3
