@@ -2,12 +2,12 @@
 
 Each subcommand reads a strict INI config, runs the corresponding study and
 writes CSV data files plus a JSON manifest.  The manifest records the fully
-resolved config, the seed and the artifact version, so a run is reproducible
-byte-for-byte from the manifest alone.  Nothing is written until the whole
-computation has succeeded; a config error therefore never leaves partial
-files behind.
+resolved config, whose ``[run] seed`` is the only seed, and the artifact
+version, so a run is reproducible byte-for-byte from the manifest alone.
+Nothing is written until the whole computation has succeeded.
 
-Exit codes: 0 success, 1 runtime model error, 2 config error.
+Exit codes, each error on one stderr line: 0 success, 1 runtime model
+error, 2 config error (an unreadable config file or --out included).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _write_csv(path: str, header, rows) -> None:
             handle.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
-def cmd_gain_curve(config: dict, seed: int, flux_axis: bool):
+def cmd_gain_curve(config: dict, flux_axis: bool):
     """First-step expected-gain sweep over the delay time."""
     section = config["gain-curve"]
     if section["t_min_ns"] > section["t_max_ns"]:
@@ -74,7 +74,7 @@ def cmd_gain_curve(config: dict, seed: int, flux_axis: bool):
     return csv_files, {"plateau_gain_bits": plateau}
 
 
-def cmd_compare(config: dict, seed: int, flux_axis: bool):
+def cmd_compare(config: dict, flux_axis: bool):
     """Ensemble gain curves for several protocols plus scaling fits."""
     section = config["compare"]
     prior_spec = prior_from(config)
@@ -85,7 +85,8 @@ def cmd_compare(config: dict, seed: int, flux_axis: bool):
     for kind, protocol in protocols.items():
         curve = run_ensemble(EnsembleConfig(protocol=protocol,
                                             n_experiments=section["n_experiments"],
-                                            prior=prior_spec, seed=seed))
+                                            prior=prior_spec,
+                                            seed=config["run"]["seed"]))
         rows = [(i + 1, t * 1e6, g, e) for i, (t, g, e)
                 in enumerate(zip(curve.t_phi, curve.mean_gain_bits,
                                  curve.stderr))]
@@ -103,7 +104,7 @@ def cmd_compare(config: dict, seed: int, flux_axis: bool):
     return csv_files, {"protocols": summary}
 
 
-def cmd_lama_trace(config: dict, seed: int, flux_axis: bool):
+def cmd_lama_trace(config: dict, flux_axis: bool):
     """Replay a fixed outcome list and dump the per-step posteriors."""
     section = config["lama-trace"]
     prior = prior_from(config).build()
@@ -112,7 +113,7 @@ def cmd_lama_trace(config: dict, seed: int, flux_axis: bool):
     protocol = ProtocolConfig("lama", t1=si_seconds(config, "lama-trace", "t1_ns"),
                               dt=si_seconds(config, "lama-trace", "dt_ns"),
                               n_steps=len(outcomes), decoherence=decoherence)
-    traj = run_protocol(protocol, prior, rng_seed=seed,
+    traj = run_protocol(protocol, prior, rng_seed=config["run"]["seed"],
                         forced_outcomes=list(outcomes))
 
     axis = prior.grid.points / FLUX_SCALE if flux_axis else prior.grid.points
@@ -141,7 +142,7 @@ def cmd_lama_trace(config: dict, seed: int, flux_axis: bool):
     return csv_files, {"steps": stats}
 
 
-def cmd_oscillations(config: dict, seed: int, flux_axis: bool):
+def cmd_oscillations(config: dict, flux_axis: bool):
     """Expected-gain oscillation study with fitted periods."""
     section = config["oscillations"]
     kind = section["kind"]
@@ -161,7 +162,7 @@ def cmd_oscillations(config: dict, seed: int, flux_axis: bool):
     return csv_files, {"kind": kind, "periods": periods}
 
 
-def cmd_optimize(config: dict, seed: int, flux_axis: bool):
+def cmd_optimize(config: dict, flux_axis: bool):
     """Pulse-parameter search at each requested delay time."""
     section = config["optimize"]
     prior = prior_from(config).build()
@@ -171,7 +172,8 @@ def cmd_optimize(config: dict, seed: int, flux_axis: bool):
     details = []
     for t in si_seconds(config, "optimize", "t_ns"):
         result = optimize_step_params(prior, t, decoherence,
-                                      budget=section["budget"], rng_seed=seed,
+                                      budget=section["budget"],
+                                      rng_seed=config["run"]["seed"],
                                       n_starts=section["n_starts"],
                                       fix_readout=fix_readout)
         j_xy = spin_xy_projection(result.best_prep)
@@ -201,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler in _COMMANDS.items():
         cmd = sub.add_parser(name, help=handler.__doc__)
         cmd.add_argument("--config", required=True, help="INI config file")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the seed from the config")
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--flux-axis", action="store_true",
                          help="report field axes in display flux units")
@@ -218,13 +218,9 @@ def main(argv=None) -> int:
         if not os.path.isdir(existing):
             raise ConfigError(f"--out: {existing!r} is not a directory")
         config = load_config(args.config, args.command)
-        seed = args.seed if args.seed is not None else config["run"]["seed"]
-        if seed < 0:
-            raise ConfigError(f"--seed: expected a non-negative integer, "
-                              f"got {seed}")
         # overflow, x/0 and NaN are model errors; tails underflow legitimately
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            csv_files, summary = _COMMANDS[args.command](config, seed,
+            csv_files, summary = _COMMANDS[args.command](config,
                                                          args.flux_axis)
         manifest_name = args.command.replace("-", "_") + ".json"
         # Strict RFC 8259 JSON, made before any file is written.  The one
@@ -232,7 +228,7 @@ def main(argv=None) -> int:
         manifest = json.dumps({
             "command": args.command,
             "version": __version__,
-            "seed": seed,
+            "seed": config["run"]["seed"],
             "flux_axis": args.flux_axis,
             "config": {section: {key: "inf" if value == math.inf else value
                                  for key, value in keys.items()}
@@ -240,20 +236,19 @@ def main(argv=None) -> int:
             "outputs": [name for name, _, _ in csv_files] + [manifest_name],
             "summary": summary,
         }, indent=2, sort_keys=True, allow_nan=False)
-    except ConfigError as err:
+        os.makedirs(args.out, exist_ok=True)
+        for name, header, rows in csv_files:
+            _write_csv(os.path.join(args.out, name), header, rows)
+        with open(os.path.join(args.out, manifest_name), "w",
+                  newline="\n") as handle:
+            handle.write(manifest + "\n")
+    except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (ImpossibleOutcomeError, ValueError, MemoryError,
             ArithmeticError) as err:
         print(f"model error: {err}", file=sys.stderr)
         return 1
-
-    os.makedirs(args.out, exist_ok=True)
-    for name, header, rows in csv_files:
-        _write_csv(os.path.join(args.out, name), header, rows)
-    with open(os.path.join(args.out, manifest_name), "w",
-              newline="\n") as handle:
-        handle.write(manifest + "\n")
     return 0
 
 

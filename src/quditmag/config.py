@@ -171,12 +171,12 @@ def load_config(path: str, command: str) -> dict:
     schema = {**_SHARED_SCHEMA, **COMMAND_SCHEMAS[command]}
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as err:
-        raise ConfigError(f"cannot read config file {path}: {err}")
-    except configparser.Error as err:
-        raise ConfigError(f"malformed config file {path}: {err}")
+    except (OSError, UnicodeError, configparser.Error) as err:
+        # configparser's messages span lines; the CLI prints one
+        raise ConfigError(f"cannot read config file {path}: "
+                          + " ".join(str(err).split()))
 
     for section in parser.sections():
         if section not in schema:

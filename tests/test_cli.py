@@ -85,11 +85,11 @@ def _reject_constant(name):
 def test_outputs_byte_identical_across_reruns(tmp_path, command):
     """Two runs of one config write the same files byte for byte, and the
     manifest is strict JSON (the default infinite coherence time included)."""
-    cfg = write(tmp_path, "rerun.ini", RERUN_CONFIGS[command])
+    cfg = write(tmp_path, "rerun.ini",
+                RERUN_CONFIGS[command] + "[run]\nseed = 5\n")
     outs = [tmp_path / f"run{i}" for i in (1, 2)]
     for out in outs:
-        assert main([command, "--config", cfg, "--out", str(out),
-                     "--seed", "5"]) == 0
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
@@ -98,6 +98,7 @@ def test_outputs_byte_identical_across_reruns(tmp_path, command):
     manifest = json.loads((outs[0] / manifest_name).read_text(),
                           parse_constant=_reject_constant)
     assert sorted(manifest["outputs"]) == names
+    assert manifest["seed"] == manifest["config"]["run"]["seed"] == 5
     assert manifest["config"]["decoherence"]["coherence_time_us"] == "inf"
 
 
@@ -138,8 +139,15 @@ def test_csv_cells_use_fixed_notation(tmp_path):
                  "[prior]\ngrid_points = 1\n", [], "grid_points",
                  id="one-grid-point"),
     pytest.param("gain-curve", "[gain-curve]\nn_t = 5\n"
-                 "[prior]\ngrid_points = 64\n", ["--seed", "-1"], "--seed",
+                 "[prior]\ngrid_points = 64\n[run]\nseed = -1\n", [], "'seed'",
                  id="negative-seed"),
+    pytest.param("gain-curve", "[gain-curve]\nprep = diagonal\n", [],
+                 "'prep'", id="unknown-prep"),
+    # configparser's own errors span several lines
+    pytest.param("gain-curve", "[gain-curve]\nn_t 5\n", [], "n_t 5",
+                 id="line-without-equals"),
+    pytest.param("gain-curve", "n_t = 5\n", [], "no section headers",
+                 id="no-section-header"),
     # each passes the schema's > 0 check and underflows to 0 s
     pytest.param("gain-curve", "[gain-curve]\nn_t = 5\n[prior]\n"
                  "grid_points = 64\n[decoherence]\ncoherence_time_us = 1e-320\n",
@@ -168,6 +176,35 @@ def test_malformed_config_exits_2_without_files(tmp_path, capsys, command,
     assert offender in err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("content", [b"[gain-curve]\nprep = \xff\n", None],
+                         ids=["not-utf8", "missing"])
+def test_unreadable_config_exits_2_without_files(tmp_path, capsys, content):
+    """A config file that cannot be opened or decoded as UTF-8 is a config
+    error naming the file."""
+    cfg = tmp_path / "bad.ini"
+    if content is not None:
+        cfg.write_bytes(content)
+    out = str(tmp_path / "bad_out")
+    assert main(["gain-curve", "--config", str(cfg), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {cfg}: ")
+    assert err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+def test_uncreatable_out_exits_2_without_files(tmp_path, capsys):
+    """An --out the system cannot create (a name over the file-name limit)
+    is a config error: one stderr line, nothing written."""
+    cfg = write(tmp_path, "gc.ini", GAIN_CURVE_INI.format(prep="xy", n_t=3))
+    before = sorted(os.listdir(tmp_path))
+    assert main(["gain-curve", "--config", cfg, "--out",
+                 str(tmp_path / ("o" * 300))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "File name too long" in err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize("error", [MemoryError, OverflowError])

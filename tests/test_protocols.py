@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from quditmag.bayes import (FieldGrid, PriorSpec, SIGMA_DEFAULT, entropy,
-                            uniform_prior)
+from quditmag.bayes import (FieldDistribution, FieldGrid,
+                            ImpossibleOutcomeError, PriorSpec, SIGMA_DEFAULT,
+                            entropy, uniform_prior)
 from quditmag.core import balanced_state, fourier_gate, xy_state
 from quditmag.decoherence import DecoherenceParams
 from quditmag.optimizer import optimize_step_params
@@ -164,6 +165,16 @@ def test_forced_outcomes_replayed(prior):
     for bad in ([-1, 0, 0, 0], [3, 0, 0, 0], np.array([0, 1, 2, -1])):
         with pytest.raises(ValueError, match="0, 1 or 2"):
             run_protocol(config, prior, rng_seed=0, forced_outcomes=bad)
+
+
+def test_impossible_forced_outcome_names_its_step():
+    """A forced outcome with zero probability under the posterior raises
+    with the number of the step it was forced at."""
+    config = ProtocolConfig("kitaev", t1=15e-9, n_steps=1)
+    # all mass at omega = 0, where the kernel gives P(1 | omega) = 0
+    point = FieldDistribution(FieldGrid(0.0, 1.0, 2), np.array([1.0, 0.0]))
+    with pytest.raises(ImpossibleOutcomeError, match="step 1"):
+        run_protocol(config, point, rng_seed=0, forced_outcomes=[1])
 
 
 def test_phase_accumulation_time(prior):
