@@ -4,7 +4,8 @@ Each subcommand reads a strict INI config, runs the corresponding study and
 writes CSV data files plus a JSON manifest.  The manifest records the fully
 resolved config, whose ``[run] seed`` is the only seed, and the artifact
 version, so a run is reproducible byte-for-byte from the manifest alone.
-Nothing is written until the whole computation has succeeded.
+Every artifact is rendered before the first file is opened, so nothing is
+written until the whole computation and its formatting have succeeded.
 
 Exit codes, each error on one stderr line: 0 success, 1 runtime model
 error, 2 config error (an unreadable config file or --out included).
@@ -43,11 +44,10 @@ def _fmt(value) -> str:
                                       unique=False, fractional=False)
 
 
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(cell) for cell in row) + "\n")
+def _csv_text(header, rows) -> str:
+    lines = [",".join(header)] + [",".join(_fmt(cell) for cell in row)
+                                  for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_gain_curve(config: dict, flux_axis: bool):
@@ -222,10 +222,11 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             csv_files, summary = _COMMANDS[args.command](config,
                                                          args.flux_axis)
+        files = {n: _csv_text(h, rows) for n, h, rows in csv_files}
         manifest_name = args.command.replace("-", "_") + ".json"
-        # Strict RFC 8259 JSON, made before any file is written.  The one
-        # non-finite value that parses, +inf, goes in as "inf", as in the INI.
-        manifest = json.dumps({
+        # Strict RFC 8259 JSON.  The one non-finite value that parses, +inf,
+        # goes in as "inf", as in the INI.
+        files[manifest_name] = json.dumps({
             "command": args.command,
             "version": __version__,
             "seed": config["run"]["seed"],
@@ -233,15 +234,24 @@ def main(argv=None) -> int:
             "config": {section: {key: "inf" if value == math.inf else value
                                  for key, value in keys.items()}
                        for section, keys in config.items()},
-            "outputs": [name for name, _, _ in csv_files] + [manifest_name],
+            "outputs": [*files, manifest_name],
             "summary": summary,
-        }, indent=2, sort_keys=True, allow_nan=False)
-        os.makedirs(args.out, exist_ok=True)
-        for name, header, rows in csv_files:
-            _write_csv(os.path.join(args.out, name), header, rows)
-        with open(os.path.join(args.out, manifest_name), "w",
-                  newline="\n") as handle:
-            handle.write(manifest + "\n")
+        }, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        paths = [os.path.join(args.out, name) for name in files]
+        for path in filter(os.path.isdir, paths):
+            raise ConfigError(f"--out: {path!r} is a directory")
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError:
+            made = os.path.abspath(args.out)
+            while made != existing:  # remove the levels makedirs created
+                if os.path.isdir(made):
+                    os.rmdir(made)
+                made = os.path.dirname(made)
+            raise
+        for path, text in zip(paths, files.values()):  # the manifest last
+            with open(path, "w", newline="\n") as handle:
+                handle.write(text)
     except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

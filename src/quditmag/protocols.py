@@ -17,7 +17,7 @@ from different runs align on a common phase-accumulation axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class ProtocolConfig:
 @dataclass(frozen=True, eq=False)
 class StepRecord:
     delay: float
-    prep: np.ndarray = field(repr=False)
     outcome: int
     posterior: FieldDistribution
     gain_bits: float             # entropy drop of this step's update
@@ -154,9 +153,8 @@ def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
     dist = prior
     s_before = entropy(dist)
     steps: list[StepRecord] = []
-    outcomes: list[int] = []
     for i, delay in enumerate(schedule_delays(config), start=1):
-        prep = step_prep(config.kind, outcomes)
+        prep = step_prep(config.kind, [s.outcome for s in steps])
         lik = likelihood_grid(prep, delay, READOUT, dist.grid.points,
                               config.decoherence)
         if forced_outcomes is not None:
@@ -172,9 +170,7 @@ def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
         except ImpossibleOutcomeError as err:
             raise ImpossibleOutcomeError(f"step {i}: {err}") from err
         s_after = entropy(dist)
-        steps.append(StepRecord(delay=delay, prep=prep, outcome=xi,
-                                posterior=dist,
+        steps.append(StepRecord(delay=delay, outcome=xi, posterior=dist,
                                 gain_bits=(s_before - s_after) / LN2))
-        outcomes.append(xi)
         s_before = s_after
     return ProtocolTrajectory(steps=steps)

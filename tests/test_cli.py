@@ -97,7 +97,9 @@ def test_outputs_byte_identical_across_reruns(tmp_path, command):
     manifest_name = command.replace("-", "_") + ".json"
     manifest = json.loads((outs[0] / manifest_name).read_text(),
                           parse_constant=_reject_constant)
-    assert sorted(manifest["outputs"]) == names
+    for out in outs:  # each run writes exactly the manifest's outputs
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted(manifest["outputs"])
     assert manifest["seed"] == manifest["config"]["run"]["seed"] == 5
     assert manifest["config"]["decoherence"]["coherence_time_us"] == "inf"
 
@@ -196,15 +198,32 @@ def test_unreadable_config_exits_2_without_files(tmp_path, capsys, content):
 
 def test_uncreatable_out_exits_2_without_files(tmp_path, capsys):
     """An --out the system cannot create (a name over the file-name limit)
-    is a config error: one stderr line, nothing written."""
+    is a config error: one stderr line, nothing written, not even the new
+    directory levels above the name."""
     cfg = write(tmp_path, "gc.ini", GAIN_CURVE_INI.format(prep="xy", n_t=3))
     before = sorted(os.listdir(tmp_path))
+    for out in ("o" * 300, os.path.join("new", "o" * 300)):
+        assert main(["gain-curve", "--config", cfg, "--out",
+                     str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "File name too long" in err
+        assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_directory_in_place_of_an_output_exits_2_without_files(tmp_path,
+                                                                capsys):
+    """An output file name taken by a directory is a config error found
+    before the first write: one stderr line, no other file written."""
+    cfg = write(tmp_path, "gc.ini", GAIN_CURVE_INI.format(prep="xy", n_t=3))
+    blocked = tmp_path / "out" / "gain_curve.json"
+    blocked.mkdir(parents=True)
+    before = sorted(str(p) for p in tmp_path.rglob("*"))
     assert main(["gain-curve", "--config", cfg, "--out",
-                 str(tmp_path / ("o" * 300))]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert "File name too long" in err
-    assert sorted(os.listdir(tmp_path)) == before
+                 str(tmp_path / "out")]) == 2
+    assert sorted(str(p) for p in tmp_path.rglob("*")) == before
+    assert capsys.readouterr().err == \
+        f"config error: --out: {str(blocked)!r} is a directory\n"
 
 
 @pytest.mark.parametrize("error", [MemoryError, OverflowError])

@@ -94,14 +94,15 @@ def test_step_rules_closed_forms(kind):
 
 
 def test_lama_prep_outcome_independent(prior):
-    """The scheduled prep never depends on the outcome history (bitwise)."""
+    """The scheduled prep and delay never depend on the outcome history
+    (bitwise)."""
     config = ProtocolConfig("lama", t1=15e-9, dt=40e-9, n_steps=6)
-    a = run_protocol(config, prior, rng_seed=0,
-                     forced_outcomes=[0, 0, 0, 0, 0, 0])
-    b = run_protocol(config, prior, rng_seed=0,
-                     forced_outcomes=[2, 1, 0, 2, 1, 0])
-    for step_a, step_b in zip(a.steps, b.steps):
-        assert np.array_equal(step_a.prep, step_b.prep)
+    histories = ([0, 0, 0, 0, 0, 0], [2, 1, 0, 2, 1, 0])
+    a, b = (run_protocol(config, prior, rng_seed=0, forced_outcomes=h)
+            for h in histories)
+    for i, (step_a, step_b) in enumerate(zip(a.steps, b.steps)):
+        assert np.array_equal(step_prep("lama", histories[0][:i]),
+                              step_prep("lama", histories[1][:i]))
         assert step_a.delay == step_b.delay
 
 
