@@ -1,9 +1,9 @@
 """Command-line front end: config-driven runs with bit-exact artifacts.
 
-Each subcommand reads a strict INI config, runs the corresponding study and
-writes CSV data files plus a JSON manifest.  The manifest records the fully
-resolved config, whose ``[run] seed`` is the only seed, and the artifact
-version, so a run is reproducible byte-for-byte from the manifest alone.
+Each subcommand reads a strict INI config, the one record of every run
+setting, runs its study and writes CSV data files plus a JSON manifest.  The
+manifest records the fully resolved config (``[run] seed`` the only seed)
+and the version, so the manifest alone reproduces the run byte-for-byte.
 Every artifact is rendered before the first file is opened, so nothing is
 written until the whole computation and its formatting have succeeded.
 
@@ -32,7 +32,7 @@ from .optimizer import optimize_step_params
 from .protocols import READOUT, ProtocolConfig, run_protocol
 
 # Display-only conversion factor between the reduced field (rad/s) and the
-# flux axis used for presentation; enabled with --flux-axis.
+# flux axis used for presentation; enabled with [lama-trace] axis = flux.
 FLUX_SCALE = 1.0e5
 
 
@@ -50,7 +50,7 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_gain_curve(config: dict, flux_axis: bool):
+def cmd_gain_curve(config: dict):
     """First-step expected-gain sweep over the delay time."""
     section = config["gain-curve"]
     if section["t_min_ns"] > section["t_max_ns"]:
@@ -74,7 +74,7 @@ def cmd_gain_curve(config: dict, flux_axis: bool):
     return csv_files, {"plateau_gain_bits": plateau}
 
 
-def cmd_compare(config: dict, flux_axis: bool):
+def cmd_compare(config: dict):
     """Ensemble gain curves for several protocols plus scaling fits."""
     section = config["compare"]
     prior_spec = prior_from(config)
@@ -104,7 +104,7 @@ def cmd_compare(config: dict, flux_axis: bool):
     return csv_files, {"protocols": summary}
 
 
-def cmd_lama_trace(config: dict, flux_axis: bool):
+def cmd_lama_trace(config: dict):
     """Replay a fixed outcome list and dump the per-step posteriors."""
     section = config["lama-trace"]
     prior = prior_from(config).build()
@@ -116,10 +116,10 @@ def cmd_lama_trace(config: dict, flux_axis: bool):
     traj = run_protocol(protocol, prior, rng_seed=config["run"]["seed"],
                         forced_outcomes=list(outcomes))
 
-    axis = prior.grid.points / FLUX_SCALE if flux_axis else prior.grid.points
-    axis_name = "flux" if flux_axis else "omega_rad_per_s"
-    columns = [axis, prior.weights] + [s.posterior.weights for s in traj.steps]
-    header = ([axis_name, "prior"]
+    axis = section["axis"]
+    points = prior.grid.points / FLUX_SCALE if axis == "flux" else prior.grid.points
+    columns = [points, prior.weights] + [s.posterior.weights for s in traj.steps]
+    header = ([axis, "prior"]
               + [f"step_{i}" for i in range(1, len(outcomes) + 1)])
     posterior_rows = list(zip(*columns))
 
@@ -142,7 +142,7 @@ def cmd_lama_trace(config: dict, flux_axis: bool):
     return csv_files, {"steps": stats}
 
 
-def cmd_oscillations(config: dict, flux_axis: bool):
+def cmd_oscillations(config: dict):
     """Expected-gain oscillation study with fitted periods."""
     section = config["oscillations"]
     kind = section["kind"]
@@ -162,7 +162,7 @@ def cmd_oscillations(config: dict, flux_axis: bool):
     return csv_files, {"kind": kind, "periods": periods}
 
 
-def cmd_optimize(config: dict, flux_axis: bool):
+def cmd_optimize(config: dict):
     """Pulse-parameter search at each requested delay time."""
     section = config["optimize"]
     prior = prior_from(config).build()
@@ -204,15 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=handler.__doc__)
         cmd.add_argument("--config", required=True, help="INI config file")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--flux-axis", action="store_true",
-                         help="report field axes in display flux units")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        existing = os.path.abspath(args.out)
+        existing = out = os.path.realpath(args.out)
         while not os.path.exists(existing):
             existing = os.path.dirname(existing)
         if not os.path.isdir(existing):
@@ -220,8 +218,7 @@ def main(argv=None) -> int:
         config = load_config(args.config, args.command)
         # overflow, x/0 and NaN are model errors; tails underflow legitimately
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            csv_files, summary = _COMMANDS[args.command](config,
-                                                         args.flux_axis)
+            csv_files, summary = _COMMANDS[args.command](config)
         files = {n: _csv_text(h, rows) for n, h, rows in csv_files}
         manifest_name = args.command.replace("-", "_") + ".json"
         # Strict RFC 8259 JSON.  The one non-finite value that parses, +inf,
@@ -229,21 +226,19 @@ def main(argv=None) -> int:
         files[manifest_name] = json.dumps({
             "command": args.command,
             "version": __version__,
-            "seed": config["run"]["seed"],
-            "flux_axis": args.flux_axis,
             "config": {section: {key: "inf" if value == math.inf else value
                                  for key, value in keys.items()}
                        for section, keys in config.items()},
             "outputs": [*files, manifest_name],
             "summary": summary,
         }, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        paths = [os.path.join(args.out, name) for name in files]
+        paths = [os.path.join(out, name) for name in files]
         for path in filter(os.path.isdir, paths):
             raise ConfigError(f"--out: {path!r} is a directory")
         try:
-            os.makedirs(args.out, exist_ok=True)
+            os.makedirs(out, exist_ok=True)
         except OSError:
-            made = os.path.abspath(args.out)
+            made = out
             while made != existing:  # remove the levels makedirs created
                 if os.path.isdir(made):
                     os.rmdir(made)

@@ -5,9 +5,9 @@ Run settings live in a line-oriented INI file (``key = value`` under
 suffix in its key name (``_ns``, ``_us``, ``_rad``, ``_rad_per_s``).
 Parsing is strict: an unknown section, an unknown key, an unparsable or
 out-of-bounds value or a missing required key raises ``ConfigError`` with a
-diagnostic naming the offender.  ``load_config`` returns a nested dict with
-every default materialized, so the resolved config serialized into a run
-manifest is sufficient to reproduce the run.  ``prior_from``,
+diagnostic naming the offender.  The config holds every run setting:
+``load_config`` returns it with every default filled in, so a manifest
+that echoes it reproduces the run byte-for-byte.  ``prior_from``,
 ``decoherence_from`` and ``protocol_from`` build model objects from it in SI.
 """
 
@@ -122,6 +122,7 @@ COMMAND_SCHEMAS = {
         "lama-trace": {
             **_PROTOCOL_SCHEMA["lama"],
             "outcomes": (_list_of(_number(int, 0, 2)), REQUIRED),
+            "axis": (_choice("omega_rad_per_s", "flux"), "omega_rad_per_s"),
         },
     },
     "oscillations": {

@@ -9,10 +9,10 @@ probabilities on a whole field grid of m points, in this order:
 1. psi_k = prep_k e^{-i k omega t}, with the phases for k = 1, 2 built from
    ``np.cos`` and ``np.sin`` of (omega k) t, and the k = 0 phase exactly 1;
 2. rho_t[omega, q, p] = psi_p conj(psi_q), the density matrix transposed,
-   written as nine contiguous (m,) products into one (m, 3, 3) array;
+   as one broadcast product of psi^T and conj(psi)^T, omega-fastest as psi;
 3. ``decohere_channel`` on rho_t (the map commutes with the transpose);
-4. amp = rho_t as (3m, 3) @ R^T, then P[x, omega] = conj(R)[x, None, :] @
-   amp viewed as [x, q, omega]: the two matmuls that
+4. amp = rho_t copied to (3m, 3) @ R^T, then P[x, omega] =
+   conj(R)[x, None, :] @ amp viewed as [x, q, omega]: the two matmuls that
    ``np.einsum("xp,mpq,xq->mx", R, rho, conj(R), optimize=True)`` runs,
    without its path search and its transposing copy of rho;
 5. the real part clipped to [0, 1] by ``ndarray.clip`` (the ufunc that
@@ -168,11 +168,7 @@ def likelihood_grid(prep, t: float, readout, omegas, params: DecoherenceParams):
         np.negative(phase.imag, out=phase.imag)
         np.multiply(phase, prep[k], out=psi[k])
 
-    conj = psi.conj()
-    rho_t = np.empty((m, 3, 3), dtype=complex)   # rho_t[omega, q, p] = rho_pq
-    for p in range(3):
-        for q in range(3):
-            np.multiply(psi[p], conj[q], out=rho_t[:, q, p])
+    rho_t = psi.T[:, None, :] * psi.conj().T[:, :, None]  # [omega, q, p]: rho_pq
     rho_t = decohere_channel(rho_t, t, params)
 
     amp = rho_t.reshape(3 * m, 3) @ readout.T    # (R rho)_xq at [omega, q, x]

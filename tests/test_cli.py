@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from quditmag.cli import main
+from quditmag.cli import FLUX_SCALE, main
 from quditmag.config import ConfigError, load_config
 
 GAIN_CURVE_INI = """
@@ -69,7 +69,7 @@ RERUN_CONFIGS = {
     "gain-curve": GAIN_CURVE_INI.format(prep="xy", n_t=25),
     "compare": "[compare]\nn_steps = 10\nn_experiments = 5\n"
                "[prior]\ngrid_points = 1024\n",
-    "lama-trace": TRACE_INI.format(outcomes="0, 1, 2, 1"),
+    "lama-trace": TRACE_INI.format(outcomes="0, 1, 2, 1\naxis = flux"),
     "oscillations": "[oscillations]\nkind = edge\nvariants_rad_per_s = 1e8\n"
                     "n_t = 200\ngrid_points = 256\n",
     "optimize": "[optimize]\nt_ns = 15\nbudget = 50\nn_starts = 2\n"
@@ -81,26 +81,43 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not RFC 8259 JSON")
 
 
+def _ini_from(config):
+    """INI text setting every key of a manifest's config: floats through
+    repr, lists comma-joined, strings ("inf" included) as written."""
+    def value(v):
+        if isinstance(v, list):
+            return ", ".join(map(value, v))
+        return v if isinstance(v, str) else repr(v)
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {value(v)}\n"
+                                              for key, v in keys.items())
+                   for section, keys in config.items())
+
+
 @pytest.mark.parametrize("command", list(RERUN_CONFIGS))
 def test_outputs_byte_identical_across_reruns(tmp_path, command):
-    """Two runs of one config write the same files byte for byte, and the
-    manifest is strict JSON (the default infinite coherence time included)."""
+    """A rerun from the first run's manifest config alone writes the same
+    files byte for byte, and the manifest is strict JSON (the default
+    infinite coherence time included) whose only copy of each setting is
+    its config."""
     cfg = write(tmp_path, "rerun.ini",
                 RERUN_CONFIGS[command] + "[run]\nseed = 5\n")
     outs = [tmp_path / f"run{i}" for i in (1, 2)]
-    for out in outs:
-        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    manifest_name = command.replace("-", "_") + ".json"
+    assert main([command, "--config", cfg, "--out", str(outs[0])]) == 0
+    manifest = json.loads((outs[0] / manifest_name).read_text(),
+                          parse_constant=_reject_constant)
+    cfg = write(tmp_path, "manifest.ini", _ini_from(manifest["config"]))
+    assert main([command, "--config", cfg, "--out", str(outs[1])]) == 0
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    manifest_name = command.replace("-", "_") + ".json"
-    manifest = json.loads((outs[0] / manifest_name).read_text(),
-                          parse_constant=_reject_constant)
     for out in outs:  # each run writes exactly the manifest's outputs
         assert sorted(p.name for p in out.iterdir()) == \
             sorted(manifest["outputs"])
-    assert manifest["seed"] == manifest["config"]["run"]["seed"] == 5
+    assert sorted(manifest) == ["command", "config", "outputs", "summary",
+                                "version"]
+    assert manifest["config"]["run"]["seed"] == 5
     assert manifest["config"]["decoherence"]["coherence_time_us"] == "inf"
 
 
@@ -199,10 +216,11 @@ def test_unreadable_config_exits_2_without_files(tmp_path, capsys, content):
 def test_uncreatable_out_exits_2_without_files(tmp_path, capsys):
     """An --out the system cannot create (a name over the file-name limit)
     is a config error: one stderr line, nothing written, not even the new
-    directory levels above the name."""
+    directory levels above the name or those a '..' climbs out of."""
     cfg = write(tmp_path, "gc.ini", GAIN_CURVE_INI.format(prep="xy", n_t=3))
     before = sorted(os.listdir(tmp_path))
-    for out in ("o" * 300, os.path.join("new", "o" * 300)):
+    for out in ("o" * 300, os.path.join("new", "o" * 300),
+                os.path.join("new", "..", "o" * 300)):
         assert main(["gain-curve", "--config", cfg, "--out",
                      str(tmp_path / out)]) == 2
         err = capsys.readouterr().err
@@ -378,17 +396,37 @@ def test_trace_zero_steps_echoes_prior(tmp_path):
 
 
 def test_flux_axis_is_display_only(tmp_path):
-    cfg = write(tmp_path, "t.ini", TRACE_INI.format(outcomes="0, 0"))
-    plain_out, flux_out = str(tmp_path / "plain"), str(tmp_path / "flux")
-    assert main(["lama-trace", "--config", cfg, "--out", plain_out]) == 0
-    assert main(["lama-trace", "--config", cfg, "--out", flux_out,
-                 "--flux-axis"]) == 0
-    ph, prows = read_csv(os.path.join(plain_out, "lama_trace_posteriors.csv"))
-    fh, frows = read_csv(os.path.join(flux_out, "lama_trace_posteriors.csv"))
-    assert ph[0] == "omega_rad_per_s" and fh[0] == "flux"
-    assert float(frows[0][0]) == pytest.approx(float(prows[0][0]) / 1.0e5)
-    # weights are untouched by the axis transform
-    assert prows[0][1:] == frows[0][1:]
+    """[lama-trace] axis = flux changes only the posteriors CSV's first
+    column, divided by FLUX_SCALE, and its header cell; the --flux-axis
+    flag it replaces is a usage error on every subcommand."""
+    outs = {}
+    for axis in ("omega_rad_per_s", "flux"):
+        cfg = write(tmp_path, f"{axis}.ini",
+                    TRACE_INI.format(outcomes=f"0, 0\naxis = {axis}"))
+        outs[axis] = tmp_path / axis
+        assert main(["lama-trace", "--config", cfg, "--out",
+                     str(outs[axis])]) == 0
+    plain, flux = (read_csv(outs[axis] / "lama_trace_posteriors.csv")
+                   for axis in outs)
+    assert plain[0] == ["omega_rad_per_s", "prior", "step_1", "step_2"]
+    assert flux[0] == ["flux"] + plain[0][1:]
+    assert len(flux[1]) == len(plain[1]) == 2048
+    for prow, frow in zip(plain[1], flux[1]):
+        assert float(frow[0]) == pytest.approx(float(prow[0]) / FLUX_SCALE,
+                                               rel=1e-11)
+        assert frow[1:] == prow[1:]
+    gains = [(outs[axis] / "lama_trace_gains.csv").read_bytes()
+             for axis in outs]
+    assert gains[0] == gains[1]
+    manifests = [json.loads((outs[axis] / "lama_trace.json").read_text())
+                 for axis in outs]
+    assert [m["config"]["lama-trace"].pop("axis") for m in manifests] == \
+        list(outs)
+    assert manifests[0] == manifests[1]
+    for command in RERUN_CONFIGS:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", cfg, "--flux-axis"])
+        assert exit_info.value.code == 2
 
 
 def test_compare_outputs_per_protocol(tmp_path):
