@@ -57,6 +57,10 @@ def cmd_gain_curve(config: dict):
         raise ConfigError(f"key 't_min_ns' in section [gain-curve]: "
                           f"{section['t_min_ns']:g} ns exceeds t_max_ns = "
                           f"{section['t_max_ns']:g} ns")
+    for key in ("alpha_rad", "beta_rad"):
+        if section["prep"] == "balanced" and section[key]:
+            raise ConfigError(f"key '{key}' in section [gain-curve]: "
+                              "not read with prep = balanced")
     prior = prior_from(config).build()
     decoherence = decoherence_from(config)
     if section["prep"] == "balanced":
@@ -146,10 +150,15 @@ def cmd_oscillations(config: dict):
     """Expected-gain oscillation study with fitted periods."""
     section = config["oscillations"]
     kind = section["kind"]
-    key = "variants_points" if kind == "discreteness" else "variants_rad_per_s"
+    key, unread = "variants_rad_per_s", "variants_points"
+    if kind == "discreteness":
+        key, unread = unread, key
     if not section[key]:
         raise ConfigError(f"key '{key}' in section [oscillations]: "
                           f"required for the {kind} study")
+    if section[unread]:
+        raise ConfigError(f"key '{unread}' in section [oscillations]: "
+                          f"not read by the {kind} study")
     results = oscillation_study(kind, section[key],
                                 sigma=config["prior"]["sigma_rad_per_s"],
                                 n_t=section["n_t"], m=section["grid_points"])

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
-from scipy.signal import find_peaks
 
 from .bayes import (FieldDistribution, FieldGrid, LN2, PriorSpec, SIGMA_DEFAULT,
                     expected_gain, uniform_prior)
@@ -129,6 +127,9 @@ def first_step_gain_curve(prior: FieldDistribution, t_values,
 
 def _detrended_peaks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """y minus its slow saturation baseline, and that residual's peaks."""
+    # deferred: scipy.signal loads scipy.stats (~0.7 s); nothing else needs them
+    from scipy.ndimage import uniform_filter1d
+    from scipy.signal import find_peaks
     size = max(len(y) // 10, 5)
     resid = y - uniform_filter1d(y, size=size, mode="nearest")
     return resid, find_peaks(resid, prominence=PEAK_PROMINENCE_BITS)[0]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bayes import FieldDistribution, expected_gain
 from .core import pulse_unitary
@@ -47,6 +46,8 @@ def optimize_step_params(dist: FieldDistribution, t: float,
     preparation parameters are searched and the result holds ``fix_readout``
     with zeros as readout parameters.  Deterministic given rng_seed.
     """
+    # deferred: scipy.optimize takes ~0.25 s to load; nothing else needs it
+    from scipy.optimize import minimize
     if n_starts < 1:
         raise ValueError("need at least one start")
     if budget < 1:

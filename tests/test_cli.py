@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,6 +183,19 @@ def test_csv_cells_use_fixed_notation(tmp_path):
     pytest.param("optimize", "[optimize]\nt_ns = 1e-320\nbudget = 5\n"
                  "n_starts = 1\n[prior]\ngrid_points = 64\n", [], "t_ns",
                  id="optimize-t-underflow"),
+    # a key the run would not read, echoed in the manifest as a setting
+    pytest.param("oscillations", "[oscillations]\nkind = edge\n"
+                 "variants_rad_per_s = 1e8\nvariants_points = 64, 128\n"
+                 "n_t = 50\ngrid_points = 256\n", [], "'variants_points'",
+                 id="edge-with-variants-points"),
+    pytest.param("oscillations", "[oscillations]\nkind = discreteness\n"
+                 "variants_points = 64\nvariants_rad_per_s = 1e8\n"
+                 "n_t = 50\n", [], "'variants_rad_per_s'",
+                 id="discreteness-with-variants-rad-per-s"),
+    pytest.param("gain-curve", "[gain-curve]\nprep = balanced\n"
+                 "alpha_rad = 1.3\nbeta_rad = -0.4\nn_t = 3\n"
+                 "[prior]\ngrid_points = 64\n", [], "'alpha_rad'",
+                 id="balanced-with-angles"),
     # the delay rule's 3.0 ** (i - 1) overflows from i = 648 on
     pytest.param("compare", "[compare]\nprotocols = kitaev\n"
                  "[kitaev]\nn_steps = 700\n", [],
@@ -528,6 +543,35 @@ def test_oscillations_missing_variants_is_config_error(tmp_path, capsys,
         f"config error: key '{key}' in section [oscillations]: "
         f"required for the {kind} study\n")
     assert not os.path.exists(out)
+
+
+IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import quditmag, quditmag.cli
+loaded = [name for name in ("scipy.signal", "scipy.stats", "scipy.optimize",
+                            "scipy.ndimage") if name in sys.modules]
+assert not loaded, f"loaded at import: {loaded}"
+code = quditmag.cli.main(["oscillations", "--config", sys.argv[2],
+                          "--out", sys.argv[3]])
+assert code == 0, f"oscillations exited {code}"
+assert "scipy.signal" in sys.modules
+"""
+
+
+def test_package_import_defers_scipy_signal_and_optimize(tmp_path):
+    """A fresh process that imports the package and its CLI loads none of
+    the SciPy modules only the oscillation study and the pulse search use;
+    the first oscillations run then imports scipy.signal inside the CLI's
+    np.errstate(raise) block and still exits 0."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    cfg = write(tmp_path, "osc.ini", "[oscillations]\nkind = edge\n"
+                "variants_rad_per_s = 1e8\nn_t = 50\ngrid_points = 256\n")
+    child = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", IMPORT_PROBE,
+         os.path.abspath(src), cfg, str(tmp_path / "osc")],
+        capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
 
 
 def test_optimize_reports_xy_like_prep(tmp_path):
