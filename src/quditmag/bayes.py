@@ -17,7 +17,7 @@ from .decoherence import DecoherenceParams, likelihood_grid
 
 LN2 = np.log(2.0)
 
-# Defaults used throughout the analysis scripts and tests: prior width
+# Defaults of the prior, the config schema and the tests: prior width
 # sigma = 2*pi / 90 ns, saturation time of the first-step gain ~ 15 ns.
 SIGMA_DEFAULT = 2.0 * np.pi / 90e-9
 T_SATURATION = 15e-9

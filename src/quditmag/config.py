@@ -170,7 +170,9 @@ def load_config(path: str, command: str) -> dict:
     if command not in COMMAND_SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
     schema = {**_SHARED_SCHEMA, **COMMAND_SCHEMAS[command]}
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can spell "\n": [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None,
+                                       default_section="\n")
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)

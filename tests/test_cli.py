@@ -169,6 +169,12 @@ def test_csv_cells_use_fixed_notation(tmp_path):
                  id="line-without-equals"),
     pytest.param("gain-curve", "n_t = 5\n", [], "no section headers",
                  id="no-section-header"),
+    # configparser would fold [DEFAULT]'s keys into every section
+    pytest.param("gain-curve", "[DEFAULT]\ngrid_points = 16\nn_t = 3\n", [],
+                 "[DEFAULT]", id="default-section-alone"),
+    pytest.param("gain-curve", "[DEFAULT]\ngrid_points = 16\n"
+                 "[gain-curve]\nn_t = 3\n", [], "[DEFAULT]",
+                 id="default-section-beside-gain-curve"),
     # each passes the schema's > 0 check and underflows to 0 s
     pytest.param("gain-curve", "[gain-curve]\nn_t = 5\n[prior]\n"
                  "grid_points = 64\n[decoherence]\ncoherence_time_us = 1e-320\n",
