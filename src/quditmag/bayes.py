@@ -9,6 +9,7 @@ reported in bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import entr
@@ -42,9 +43,11 @@ class FieldGrid:
         if not 0.0 < self.omega_max - self.omega_min < np.inf:
             raise ValueError("grid span must be finite and positive")
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.linspace(self.omega_min, self.omega_max, self.m)
+        points = np.linspace(self.omega_min, self.omega_max, self.m)
+        points.flags.writeable = False
+        return points
 
     @property
     def spacing(self) -> float:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .bayes import ImpossibleOutcomeError, posterior_stats
-from .config import (ConfigError, decoherence_from, load_config, prior_from,
-                     protocol_from, si_seconds)
+from .config import (COMMAND_SCHEMAS, ConfigError, decoherence_from,
+                     load_config, prior_from, protocol_from, si_seconds)
 from .core import balanced_state, spin_xy_projection, xy_state
 from .harness import (EnsembleConfig, first_step_gain_curve,
                       oscillation_study, run_ensemble, sliding_alpha)
@@ -156,6 +156,9 @@ def cmd_oscillations(config: dict):
     if not section[key]:
         raise ConfigError(f"key '{key}' in section [oscillations]: "
                           f"required for the {kind} study")
+    default_m = COMMAND_SCHEMAS["oscillations"]["oscillations"]["grid_points"][1]
+    if kind == "discreteness" and section["grid_points"] != default_m:
+        unread = "grid_points"                   # each variant is its own grid
     if section[unread]:
         raise ConfigError(f"key '{unread}' in section [oscillations]: "
                           f"not read by the {kind} study")

@@ -6,8 +6,8 @@ damping of each coherence.  ``likelihood_grid`` pushes a prep state through
 the field phases, this channel and the readout to the outcome
 probabilities on a whole field grid of m points, in this order:
 
-1. psi_k = prep_k e^{-i k omega t}, with the phases for k = 1, 2 built from
-   ``np.cos`` and ``np.sin`` of (omega k) t, and the k = 0 phase exactly 1;
+1. the phases e^{-ik omega t} for k = 1, 2 from ``np.cos`` and ``np.sin``
+   of (omega k) t, then psi_k = prep_k times them (the k = 0 phase is 1);
 2. rho_t[omega, q, p] = psi_p conj(psi_q), the density matrix transposed,
    as one broadcast product of psi^T and conj(psi)^T, omega-fastest as psi;
 3. ``decohere_channel`` on rho_t (the map commutes with the transpose);
@@ -29,14 +29,15 @@ complex product with FMA is not symmetric in its operands) changes a
 recorded output.  A kernel with other arithmetic, such as the harmonic
 form, needs that check scaled to the grid first (ROADMAP item 2).
 
-``likelihood_grid`` keeps its last call: arguments that are bit for bit the
-last call's get the very table that call built, so every table is
-read-only.  The shot-noise (classical) schedule repeats one delay and one
-preparation at every step, so all its steps but the first are such calls.
-The memo sits in the kernel, not in the trajectory loop, so every PER step
-still makes one kernel call (the benchmark counts them), and a repeated
-call gets the bytes and strides a recomputation would give.  The table and
-its key take about 0.26 MB at m = 8192.
+``likelihood_grid`` keeps its last call in two halves, field (the bits of
+t and the grid, with step 1's phases) and pulse (prep, readout and rates,
+with the table).  A call matching the field half reuses the phases; one
+matching both gets that call's very table, so every table is read-only.
+Pulse searches hit the field half (one t and grid for every candidate),
+the classical schedule both; other schedules and CLI sweeps change t at
+every call.  Every PER step still makes one kernel call (the benchmark
+counts them), a reused half gives the bytes a recomputation would, and
+the memo takes about 0.5 MB at m = 8192.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ from scipy.special import exprel
 # The rate tie of from_coherence_time (gap 0.29) stays outside.
 _NEAR_DEGENERATE_RTOL = 0.1
 
-# (key, table) of the last likelihood_grid call; see the module docstring.
-_last_call = None
+# (field key, phases, pulse key, table) of the last likelihood_grid call;
+# see the module docstring.
+_last_call = (None, None, None, None)
 
 
 @dataclass(frozen=True)
@@ -130,43 +132,43 @@ def decohere_channel(pi, t: float, params: DecoherenceParams):
 
 
 def likelihood_grid(prep, t: float, readout, omegas, params: DecoherenceParams):
-    """Outcome probabilities P(xi | omega) for every omega in ``omegas``.
+    """Outcome probabilities P(xi | omega) for every omega in ``omegas``, as
+    a read-only, Fortran-ordered array of shape (len(omegas), 3).
 
-    Returns a Fortran-ordered array of shape (len(omegas), 3): prep state
-    -> field phases -> decoherence channel -> readout conjugation ->
-    diagonal.  During the delay the field evolves level k by
-    e^{-i k omega t} (global phase dropped); the opposite sign would only
-    relabel the outcomes.  The steps, their order and why each operand
-    order is fixed are in the module docstring.  A negative ``t`` raises
-    ValueError from ``decohere_channel``.  The result is read-only: a call
-    with the last call's arguments, bit for bit, returns the same array.
+    During the delay the field evolves level k by e^{-i k omega t} (global
+    phase dropped); the opposite sign would only relabel the outcomes.  The
+    steps, why each operand order is fixed, and the memo are in the module
+    docstring.  A negative ``t`` raises ValueError from ``decohere_channel``.
     """
     global _last_call
     prep = np.asarray(prep, dtype=complex)
     readout = np.asarray(readout, dtype=complex)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     # Bit-exact: struct bytes tell -0.0 from 0.0, and the scalar types are
-    # in the key because a float32 t or rate rounds differently in the
-    # channel.  A working omegas is 1-D, so its bytes fix its shape.
+    # in the keys because a float32 t or rate rounds differently.  A working
+    # omegas is 1-D, so its bytes fix its shape.
     g10, g21, gphi = params.gamma_10, params.gamma_21, params.gamma_phi
-    key = (type(t), type(g10), type(g21), type(gphi),
-           struct.pack("4d", t, g10, g21, gphi), prep.shape, prep.tobytes(),
-           readout.shape, readout.tobytes(), omegas.tobytes())
-    last = _last_call
-    if last is not None and last[0] == key:
-        return last[1]
+    field_key = (type(t), struct.pack("d", t), omegas.tobytes())
+    pulse_key = (type(g10), type(g21), type(gphi),
+                 struct.pack("3d", g10, g21, gphi), prep.shape, prep.tobytes(),
+                 readout.shape, readout.tobytes())
     m = omegas.shape[0]
+    last_field, phases, last_pulse, table = _last_call
+    if last_field != field_key:
+        phases = np.empty((2, m), dtype=complex)
+        for k, phase in zip((1, 2), phases):     # phase = e^{-ik omega t}
+            angle = (omegas * k) * t
+            np.cos(angle, out=phase.real)
+            np.sin(angle, out=phase.imag)
+            np.negative(phase.imag, out=phase.imag)
+    elif last_pulse == pulse_key:
+        return table
 
     psi = np.empty((3, m), dtype=complex)        # psi[k] = prep_k e^{-ik omega t}
     psi[0] = prep[0]
-    # not in place: numpy rounds an in-place product of one element apart
-    phase = np.empty(m, dtype=complex)
     for k in (1, 2):
-        angle = (omegas * k) * t
-        np.cos(angle, out=phase.real)
-        np.sin(angle, out=phase.imag)
-        np.negative(phase.imag, out=phase.imag)
-        np.multiply(phase, prep[k], out=psi[k])
+        # not in place: numpy rounds an in-place product of one element apart
+        np.multiply(phases[k - 1], prep[k], out=psi[k])
 
     rho_t = psi.T[:, None, :] * psi.conj().T[:, :, None]  # [omega, q, p]: rho_pq
     rho_t = decohere_channel(rho_t, t, params)
@@ -175,5 +177,5 @@ def likelihood_grid(prep, t: float, readout, omegas, params: DecoherenceParams):
     probs = readout.conj()[:, None, :] @ amp.reshape(m, 3, 3).transpose(2, 1, 0)
     table = probs.reshape(3, m).T.real.clip(0.0, 1.0)
     table.flags.writeable = False
-    _last_call = (key, table)
+    _last_call = (field_key, phases, pulse_key, table)
     return table

@@ -50,9 +50,14 @@ def test_criterion_1_plateau_values(criterion, prior_8192):
     t = 5.0 * T_S
     balanced = expected_gain(prior_8192, t, qm.balanced_state(3), F3, NO_DECAY)
     xy = expected_gain(prior_8192, t, qm.xy_state(0.0, 0.0), F3, NO_DECAY)
-    ok = abs(balanced - 0.8170) <= 0.01 and abs(xy - 0.8854) <= 0.01
+    # closed forms: (5/3 - ln 3) / ln 2 and 2 (1/ln 2 - 1)
+    balanced_target = (5.0 / 3.0 - np.log(3.0)) / np.log(2.0)
+    xy_target = 2.0 * (1.0 / np.log(2.0) - 1.0)
+    ok = (abs(balanced - balanced_target) <= 1e-4
+          and abs(xy - xy_target) <= 1e-4)
     criterion(1, "first-step plateau gains at t = 5 T_s", ok,
-              f"balanced {balanced:.4f} vs 0.8170, xy {xy:.4f} vs 0.8854")
+              f"balanced {balanced:.4f} vs {balanced_target:.4f}, "
+              f"xy {xy:.4f} vs {xy_target:.4f}")
 
 
 def test_criterion_2_zero_delay_null(criterion, prior_8192):

@@ -22,6 +22,12 @@ def acceptance_prior():
 def test_grid_construction():
     grid = FieldGrid(-1.0, 1.0, 5)
     assert np.allclose(grid.points, [-1.0, -0.5, 0.0, 0.5, 1.0])
+    # built once per grid, read-only, with np.linspace's bytes
+    points = grid.points
+    assert grid.points is points and not points.flags.writeable
+    assert points.tobytes() == np.linspace(-1.0, 1.0, 5).tobytes()
+    with pytest.raises(ValueError):
+        points[0] = 0.0
     assert grid.spacing == pytest.approx(0.5)
     with pytest.raises(ValueError):
         FieldGrid(1.0, -1.0, 5)

@@ -44,17 +44,19 @@ def read_csv(path):
 
 
 def test_gain_curve_plateaus(tmp_path):
-    for prep, plateau in (("xy", 0.885), ("balanced", 0.817)):
+    # the coherent plateaus' closed forms
+    for prep, plateau in (("xy", 2 * (1 / np.log(2) - 1)),
+                          ("balanced", (5 / 3 - np.log(3)) / np.log(2))):
         cfg = write(tmp_path, f"{prep}.ini",
                     GAIN_CURVE_INI.format(prep=prep, n_t=40))
         out = str(tmp_path / prep)
         assert main(["gain-curve", "--config", cfg, "--out", out]) == 0
         header, rows = read_csv(os.path.join(out, "gain_curve.csv"))
         assert header == ["t_ns", "gain_bits"]
-        assert float(rows[-1][1]) == pytest.approx(plateau, abs=0.01)
+        assert float(rows[-1][1]) == pytest.approx(plateau, abs=1e-4)
         manifest = json.load(open(os.path.join(out, "gain_curve.json")))
         assert manifest["summary"]["plateau_gain_bits"] == \
-            pytest.approx(plateau, abs=0.01)
+            pytest.approx(plateau, abs=1e-4)
         assert manifest["config"]["prior"]["grid_points"] == 2048
 
 
@@ -198,6 +200,9 @@ def test_csv_cells_use_fixed_notation(tmp_path):
                  "variants_points = 64\nvariants_rad_per_s = 1e8\n"
                  "n_t = 50\n", [], "'variants_rad_per_s'",
                  id="discreteness-with-variants-rad-per-s"),
+    pytest.param("oscillations", "[oscillations]\nkind = discreteness\n"
+                 "variants_points = 64\nn_t = 50\ngrid_points = 2048\n", [],
+                 "'grid_points'", id="discreteness-with-grid-points"),
     pytest.param("gain-curve", "[gain-curve]\nprep = balanced\n"
                  "alpha_rad = 1.3\nbeta_rad = -0.4\nn_t = 3\n"
                  "[prior]\ngrid_points = 64\n", [], "'alpha_rad'",

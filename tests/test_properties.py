@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (einsum_likelihood_grid, entropy_difference_gain,
                      entrywise_decohere_channel)
+from quditmag import decoherence
 from quditmag.bayes import (FieldGrid, PriorSpec, SIGMA_DEFAULT,
                             bayes_update, expected_gain)
 from quditmag.core import balanced_state, fourier_gate, pulse_unitary, xy_state
@@ -187,6 +188,29 @@ def test_kernel_equals_the_einsum_oracle_exactly(measurement, m):
         table = likelihood_grid(*changed)
         assert table is not base
         assert _same_bytes(table, einsum_likelihood_grid(*changed))
+
+    # on one (t, grid): a new prep, then readout, then rate reuse the stored
+    # field phases; back at the first arguments the rebuilt table has the
+    # first table's bytes and is then the stored one; a new t rebuilds them
+    first = likelihood_grid(prep, t, readout, omegas, params)
+    phases = decoherence._last_call[1]
+    pulses = ((xy_state(0.3, -1.2), readout, params),
+              (xy_state(0.3, -1.2), fourier_gate(3), params),
+              (xy_state(0.3, -1.2), fourier_gate(3),
+               replace(params, gamma_10=params.gamma_10 + 1e4)),
+              (prep, readout, params))
+    for pulse_prep, pulse_readout, pulse_params in pulses:
+        args = (pulse_prep, t, pulse_readout, omegas, pulse_params)
+        table = likelihood_grid(*args)
+        assert decoherence._last_call[1] is phases
+        assert _same_bytes(table, einsum_likelihood_grid(*args))
+    assert table is not first and _same_bytes(table, first)
+    assert likelihood_grid(prep, t, readout, omegas, params) is table
+    later = float(np.nextafter(t, np.inf))
+    table = likelihood_grid(prep, later, readout, omegas, params)
+    assert decoherence._last_call[1] is not phases
+    assert _same_bytes(table, einsum_likelihood_grid(prep, later, readout,
+                                                     omegas, params))
 
 
 @settings(max_examples=300, deadline=None)
