@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import entr
 
 from .decoherence import DecoherenceParams, likelihood_grid
 
@@ -130,6 +129,7 @@ def expected_gain(dist: FieldDistribution, t: float, prep, readout,
     986, 1956).  It equals the expected drop from prior to posterior
     entropy.  Summation order is fixed, so the result is deterministic.
     """
+    from scipy.special import entr  # deferred: it is most of the import time
     lik = likelihood_grid(prep, t, readout, dist.grid.points, params)  # (m, 3)
     h_outcome = entr(dist.weights @ lik).sum()
     h_outcome_given_field = dist.weights @ entr(lik).sum(axis=1)

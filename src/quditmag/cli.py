@@ -14,6 +14,7 @@ error, 2 config error (an unreadable config file or --out included).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -269,5 +270,17 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def entry():
+    """``quditmag`` and ``python -m quditmag.cli``: ``main`` on perfbench's
+    glibc allocator settings (README); ``main`` alone leaves them as found."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-1, 2**30)     # M_TRIM_THRESHOLD
+        mallopt(-3, 2**25)     # M_MMAP_THRESHOLD
+    except (AttributeError, OSError, TypeError):     # no glibc mallopt
+        pass
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

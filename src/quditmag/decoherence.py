@@ -42,11 +42,11 @@ the memo takes about 0.5 MB at m = 8192.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exprel
 
 # Relative rate gap below which the cascade feed is taken in its exprel form:
 # the difference of two exponentials loses about eps * scale / gap there.
@@ -90,15 +90,17 @@ def _cascade_feed(gamma_10: float, gamma_21: float, t):
     Standard solution of d(rho_11)/dt = -G10 rho_11 + G21 rho_22 with
     rho_22 = pi_22 exp(-G21 t): G21 / (G21 - G10) (e^{-G10 t} - e^{-G21 t}).
     For nearly equal rates that difference cancels, so it is taken as
-    G21 t e^{-G t} exprel(-|G21 - G10| t) with G the smaller rate, whose
-    exprel argument is never positive; equal rates give exactly
-    G10 t e^{-G10 t}.
+    G21 t e^{-G t} exprel(x), G the smaller rate and x = -|G21 - G10| t <= 0;
+    equal rates give exactly G10 t e^{-G10 t}.  exprel is scipy.special's
+    form and guard with libm's expm1: 1 if |x| < eps, else expm1(x) / x.
     """
     scale = max(gamma_10, gamma_21)
     gap = gamma_21 - gamma_10
     if abs(gap) <= _NEAR_DEGENERATE_RTOL * scale:
         low = min(gamma_10, gamma_21)
-        return gamma_21 * t * np.exp(-low * t) * exprel(-abs(gap) * t)
+        x = -abs(gap) * t
+        exprel = 1.0 if abs(x) < math.ulp(1.0) else math.expm1(x) / x
+        return gamma_21 * t * np.exp(-low * t) * exprel
     return gamma_21 / gap * (np.exp(-gamma_10 * t) - np.exp(-gamma_21 * t))
 
 

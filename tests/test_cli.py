@@ -559,28 +559,83 @@ def test_oscillations_missing_variants_is_config_error(tmp_path, capsys,
 IMPORT_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
+
+def scipy_modules():
+    return [name for name in sys.modules if name.split(".")[0] == "scipy"]
+
 import quditmag, quditmag.cli
-loaded = [name for name in ("scipy.signal", "scipy.stats", "scipy.optimize",
-                            "scipy.ndimage") if name in sys.modules]
-assert not loaded, f"loaded at import: {loaded}"
-code = quditmag.cli.main(["oscillations", "--config", sys.argv[2],
-                          "--out", sys.argv[3]])
-assert code == 0, f"oscillations exited {code}"
-assert "scipy.signal" in sys.modules
+assert not scipy_modules(), f"loaded at import: {scipy_modules()}"
+for command, config in zip(("lama-trace", "compare", "oscillations"),
+                           sys.argv[2:5]):
+    code = quditmag.cli.main([command, "--config", config,
+                              "--out", sys.argv[5] + command])
+    assert code == 0, f"{command} exited {code}"
+    if command != "oscillations":
+        assert not scipy_modules(), f"{command} loaded {scipy_modules()}"
+assert "scipy.special" in sys.modules and "scipy.signal" in sys.modules
 """
 
 
-def test_package_import_defers_scipy_signal_and_optimize(tmp_path):
-    """A fresh process that imports the package and its CLI loads none of
-    the SciPy modules only the oscillation study and the pulse search use;
-    the first oscillations run then imports scipy.signal inside the CLI's
-    np.errstate(raise) block and still exits 0."""
+def test_package_import_loads_no_scipy(tmp_path):
+    """A fresh process that imports the package and its CLI loads numpy and
+    no SciPy module.  A coherent lama-trace (T_c = inf, so the cascade feed
+    takes its exprel branch) and a small compare load none either; the
+    first oscillations run then imports scipy.special and scipy.signal
+    inside the CLI's np.errstate(raise) block and still exits 0."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    cfg = write(tmp_path, "osc.ini", "[oscillations]\nkind = edge\n"
-                "variants_rad_per_s = 1e8\nn_t = 50\ngrid_points = 256\n")
+    configs = [
+        write(tmp_path, "trace.ini", "[lama-trace]\noutcomes = 0, 1, 2\n"
+              "[prior]\ngrid_points = 256\n"),
+        write(tmp_path, "compare.ini", "[compare]\nprotocols = lama, kitaev\n"
+              "n_steps = 4\nn_experiments = 2\n[prior]\ngrid_points = 256\n"),
+        write(tmp_path, "osc.ini", "[oscillations]\nkind = edge\n"
+              "variants_rad_per_s = 1e8\nn_t = 50\ngrid_points = 256\n"),
+    ]
     child = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", IMPORT_PROBE,
-         os.path.abspath(src), cfg, str(tmp_path / "osc")],
+         os.path.abspath(src), *configs, str(tmp_path / "out_")],
+        capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+
+
+ENTRY_PROBE = """
+import ctypes, runpy, sys
+sys.path.insert(0, sys.argv[1])
+calls = []
+
+class LibC:
+    def mallopt(self, param, value):
+        calls.append((param, value))
+        return 1
+
+ctypes.CDLL = lambda name: LibC()
+argv = ["lama-trace", "--config", sys.argv[2], "--out", sys.argv[3]]
+sys.argv = ["quditmag", *argv]
+try:
+    runpy.run_module("quditmag.cli", run_name="__main__")
+except SystemExit as stop:
+    assert stop.code == 0, f"exit code {stop.code}"
+assert calls == [(-1, 2**30), (-3, 2**25)], calls
+calls.clear()
+import quditmag.cli
+assert quditmag.cli.main(argv) == 0
+assert calls == [], calls
+"""
+
+
+def test_process_entry_alone_sets_the_allocator(tmp_path):
+    """``python -m quditmag.cli`` and the ``quditmag`` console script run
+    ``entry``, which sets glibc's trim threshold to 1 GiB and its mmap
+    threshold to 32 MiB before ``main``; ``main`` itself, which library
+    callers run in their own process, calls no ``mallopt``."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "pyproject.toml")) as handle:
+        assert 'quditmag = "quditmag.cli:entry"' in handle.read()
+    cfg = write(tmp_path, "trace.ini", TRACE_INI.format(outcomes="0, 1"))
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", ENTRY_PROBE,
+         os.path.abspath(os.path.join(root, "src")), cfg,
+         str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
 

@@ -217,6 +217,19 @@ def test_kernel_equals_the_einsum_oracle_exactly(measurement, m):
 @given(channel_rates(), delays, preps(), angles, angles, angles)
 @example(DecoherenceParams(2e5, 2e5, 1e5), 1e-6, balanced_state(3),
          0.0, 0.0, 0.0)
+# the cascade feed's exprel(x), x = -|G21 - G10| t: equal rates above give
+# x = -0.0; then x = +0.0 (t = -0.0), a subnormal x, |x| just inside and at
+# eps = 2**-52 (the guard is |x| < eps), and x about -1e-15
+@example(DecoherenceParams(2e5, 2e5 * (1 + 2**-40), 1e5), -0.0,
+         balanced_state(3), 0.0, 0.0, 0.0)
+@example(DecoherenceParams(1e-310, 1.05e-310, 0.0), 1.0, balanced_state(3),
+         0.0, 0.0, 0.0)
+@example(DecoherenceParams(1.0, 1 + 2**-52, 0.5), 1 - 2**-53,
+         balanced_state(3), 0.0, 0.0, 0.0)
+@example(DecoherenceParams(1.0, 1 + 2**-52, 0.5), 1.0, balanced_state(3),
+         0.0, 0.0, 0.0)
+@example(DecoherenceParams(1.0, 1 + 5 * 2**-52, 0.5), 0.9,
+         balanced_state(3), 0.0, 0.0, 0.0)
 def test_channel_equals_the_entrywise_oracle_exactly(params, t, prep, eps,
                                                      delta1, delta2):
     """``decohere_channel`` returns the entry-by-entry oracle's bytes, for
