@@ -57,7 +57,7 @@ class OscillationResult:
     variant: float
     t: np.ndarray = field(repr=False)
     gain_bits: np.ndarray = field(repr=False)
-    period: float | None     # None when no peaks clear the prominence floor
+    period: float | None     # None when too few peaks clear the prominence floor
 
 
 def run_ensemble(config: EnsembleConfig) -> GainCurve:
@@ -126,36 +126,51 @@ def first_step_gain_curve(prior: FieldDistribution, t_values,
 
 
 def _detrended_peaks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """y minus its slow saturation baseline, and that residual's peaks."""
-    # deferred: scipy.signal loads scipy.stats (~0.7 s); nothing else needs them
-    from scipy.ndimage import uniform_filter1d
-    from scipy.signal import find_peaks
-    size = max(len(y) // 10, 5)
-    resid = y - uniform_filter1d(y, size=size, mode="nearest")
-    return resid, find_peaks(resid, prominence=PEAK_PROMINENCE_BITS)[0]
+    """y minus its slow saturation baseline, and that residual's peaks.
+
+    Bit for bit SciPy's ``uniform_filter1d(y, size, mode="nearest")``, each
+    window summed in sequence and then divided by size, and ``find_peaks(
+    resid, prominence=PEAK_PROMINENCE_BITS)``: a peak is an interior run of
+    equal values above both neighbouring runs, at the run's midpoint, whose
+    prominence (its height over the higher of the lowest points on either
+    side before a higher value) is >= the floor.
+    """
+    n, size = len(y), max(len(y) // 10, 5)
+    edge = np.r_[np.repeat(y[:1], size // 2), y,
+                 np.repeat(y[-1:], size - size // 2 - 1)]
+    sums = np.cumsum(np.r_[0.0, edge[:size], edge[size:] - edge[:n - 1]])
+    resid = y - sums[size:] / size
+    # where each run of equal values starts; an empty curve has none
+    starts = np.flatnonzero(np.r_[n > 0, resid[1:] != resid[:-1]])
+    v = resid[starts]
+    top = np.flatnonzero((v[:-2] < v[1:-1]) & (v[2:] < v[1:-1])) + 1
+
+    def prominence(p):
+        higher = np.flatnonzero(~(resid <= resid[p]))
+        j = np.searchsorted(higher, p)
+        return resid[p] - max(resid[np.r_[-1, higher][j] + 1:p + 1].min(),
+                              resid[p:np.r_[higher, n][j]].min())
+    peaks = (starts[top] + np.r_[starts[1:], n][top] - 1) // 2
+    return resid, np.array([p for p in peaks if prominence(p)
+                            >= PEAK_PROMINENCE_BITS], dtype=np.intp)
 
 
 def estimate_period(t: np.ndarray, gain: np.ndarray) -> float | None:
     """Dominant oscillation period from the spacing of detrended peaks.
 
-    Returns None when no peaks exceed the prominence floor (oscillation
-    reported as absent).
+    Returns None when fewer than two peaks exceed the prominence floor
+    (oscillation reported as absent).
     """
     _, peaks = _detrended_peaks(gain)
-    if len(peaks) < 2:
-        return None
-    return float(np.median(np.diff(t[peaks])))
+    return float(np.median(np.diff(t[peaks]))) if len(peaks) > 1 else None
 
 
 def estimate_revival_time(t: np.ndarray, gain: np.ndarray,
                           t_min: float) -> float | None:
-    """Location of the most prominent late-time peak (grid revival)."""
+    """Location of the highest detrended late-time peak (grid revival)."""
     resid, peaks = _detrended_peaks(gain)
     keep = peaks[t[peaks] >= t_min]
-    if len(keep) == 0:
-        return None
-    heights = resid[keep]
-    return float(t[keep[np.argmax(heights)]])
+    return float(t[keep[np.argmax(resid[keep])]]) if len(keep) else None
 
 
 def oscillation_study(kind: str, variants, sigma: float = SIGMA_DEFAULT,
@@ -175,17 +190,16 @@ def oscillation_study(kind: str, variants, sigma: float = SIGMA_DEFAULT,
         raise ValueError(f"unknown oscillation study kind {kind!r}")
     results = []
     for variant in variants:
+        period_of = estimate_period
         if kind == "edge":
             omega_width = float(variant)
             prior = uniform_prior(
                 FieldGrid(-omega_width / 2.0, omega_width / 2.0, m))
             # cover >= 8 oscillation periods past the saturation knee
             t_max = 60.0 * np.pi / omega_width
-            period_of = estimate_period
         elif kind == "center":
             prior = PriorSpec(float(variant), sigma, m=m).build()
             t_max = 24.0 * np.pi / abs(float(variant))
-            period_of = estimate_period
         else:
             prior = PriorSpec(0.0, sigma, m=int(variant)).build()
             revival = 2.0 * np.pi / prior.grid.spacing

@@ -4,19 +4,23 @@ Each oracle reaches its answer by a different route than the package code
 it checks: the master equation instead of the closed-form channel, the
 three-term cosine expansion instead of the density-matrix kernel, the
 entropy-difference gain instead of the mutual-information form.  The
-einsum kernel and the entry-by-entry channel are the earlier package
-bodies, which the package must still equal bit for bit.  None of these run
-in any workload, so they live here and not in ``quditmag``.
+einsum kernel, the entry-by-entry channel and SciPy's detrended peak
+finder are the earlier package bodies, which the package must still equal
+bit for bit.  None of these run in any workload, so they live here and not
+in ``quditmag``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.ndimage import uniform_filter1d
+from scipy.signal import find_peaks
 from scipy.special import exprel
 
 from quditmag.bayes import LN2, FieldDistribution, entropy
 from quditmag.decoherence import DecoherenceParams, likelihood_grid
-from quditmag.harness import GainCurve, ScalingEstimate, sliding_alpha
+from quditmag.harness import (PEAK_PROMINENCE_BITS, GainCurve, ScalingEstimate,
+                              sliding_alpha)
 
 UNITARITY_TOL = 1e-12
 
@@ -217,3 +221,12 @@ def max_sliding_alpha(curve: GainCurve, center_range: tuple[float, float]
     if not estimates:
         raise ValueError("no valid scaling windows in the requested range")
     return max(estimates, key=lambda e: e.alpha)
+
+
+def scipy_detrended_peaks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``harness._detrended_peaks`` as SciPy's moving average and prominence
+    peak finder; the package must return the same residual bytes and peak
+    indices."""
+    size = max(len(y) // 10, 5)
+    resid = y - uniform_filter1d(y, size=size, mode="nearest")
+    return resid, find_peaks(resid, prominence=PEAK_PROMINENCE_BITS)[0]

@@ -540,6 +540,19 @@ grid_points = 1024
     assert periods[0] / periods[1] == pytest.approx(2.0, rel=0.2)
 
 
+def test_oscillations_with_one_delay_has_no_period(tmp_path):
+    """A one-sample gain curve (a window wider than the curve) has no peak."""
+    cfg = write(tmp_path, "osc.ini", "[oscillations]\nkind = edge\n"
+                "variants_rad_per_s = 1e8\nn_t = 1\ngrid_points = 256\n")
+    out = str(tmp_path / "osc")
+    assert main(["oscillations", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "oscillations.json")) as handle:
+        text = handle.read()
+    assert '"period_ns": null' in text
+    assert json.loads(text)["summary"]["periods"] == [
+        {"variant": 1e8, "period_ns": None}]
+
+
 @pytest.mark.parametrize("kind, key", [
     pytest.param("edge", "variants_rad_per_s", id="edge"),
     pytest.param("center", "variants_rad_per_s", id="center"),
@@ -572,7 +585,9 @@ for command, config in zip(("lama-trace", "compare", "oscillations"),
     assert code == 0, f"{command} exited {code}"
     if command != "oscillations":
         assert not scipy_modules(), f"{command} loaded {scipy_modules()}"
-assert "scipy.special" in sys.modules and "scipy.signal" in sys.modules
+assert "scipy.special" in sys.modules, scipy_modules()
+for name in ("scipy.signal", "scipy.ndimage", "scipy.stats"):
+    assert name not in sys.modules, f"oscillations loaded {name}"
 """
 
 
@@ -580,8 +595,9 @@ def test_package_import_loads_no_scipy(tmp_path):
     """A fresh process that imports the package and its CLI loads numpy and
     no SciPy module.  A coherent lama-trace (T_c = inf, so the cascade feed
     takes its exprel branch) and a small compare load none either; the
-    first oscillations run then imports scipy.special and scipy.signal
-    inside the CLI's np.errstate(raise) block and still exits 0."""
+    first oscillations run then imports scipy.special, for its gains,
+    inside the CLI's np.errstate(raise) block and exits 0, and its peak
+    finder loads none of scipy.signal, scipy.ndimage and scipy.stats."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     configs = [
         write(tmp_path, "trace.ini", "[lama-trace]\noutcomes = 0, 1, 2\n"

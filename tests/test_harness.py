@@ -1,14 +1,18 @@
 """Ensembles, scaling-exponent fits and oscillation studies."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quditmag import protocols
 from quditmag.bayes import SIGMA_DEFAULT
+from quditmag.config import load_config
 from quditmag.decoherence import DecoherenceParams
-from oracles import max_sliding_alpha
+from oracles import max_sliding_alpha, scipy_detrended_peaks
 from quditmag.harness import (EnsembleConfig, GainCurve, PriorSpec,
-                              estimate_period, first_step_gain_curve,
+                              _detrended_peaks, estimate_period,
+                              estimate_revival_time, first_step_gain_curve,
                               oscillation_study, run_ensemble,
                               scaling_exponent, sliding_alpha)
 from quditmag.protocols import (PROTOCOL_KINDS, ProtocolConfig,
@@ -117,6 +121,62 @@ def test_sliding_alpha_windows_are_half_decade():
 def test_estimate_period_flat_curve_is_none():
     t = np.linspace(0.0, 1.0, 500)
     assert estimate_period(t, np.full(500, 0.5)) is None
+
+
+@pytest.mark.parametrize("gain", [[], [0.3], [0.0, 0.8], [1.0, 0.0, 1.0, 1.0]],
+                         ids=["empty", "one-sample", "two-samples",
+                              "end-plateau"])
+def test_tiny_curves_have_no_period(gain):
+    """Curves of 0, 1 and 2 samples, and one whose residual's maximum is a
+    plateau ending at the last sample (and the lone first sample), have
+    no interior peak."""
+    gain = np.array(gain)
+    t = np.arange(len(gain)) * 1e-9
+    assert estimate_period(t, gain) is None
+    assert estimate_revival_time(t, gain, t_min=0.0) is None
+
+
+def assert_peaks_match_the_oracle(y):
+    resid, peaks = _detrended_peaks(y)
+    oracle_resid, oracle_peaks = scipy_detrended_peaks(y)
+    assert resid.tobytes() == oracle_resid.tobytes(), len(y)
+    assert peaks.dtype == oracle_peaks.dtype
+    assert np.array_equal(peaks, oracle_peaks), (peaks, oracle_peaks)
+
+
+def test_detrended_peaks_equal_the_scipy_oracle_exactly():
+    """Random walks plus sinusoids, quantised staircases whose constant
+    head or tail is a plateau touching an end, and n = 0..4, where the
+    window is wider than the curve."""
+    rng = np.random.default_rng(20)
+    for n in (0, 1, 2, 3, 4):
+        for _ in range(25):
+            assert_peaks_match_the_oracle(
+                np.round(rng.normal(size=n), int(rng.integers(0, 3))))
+    for _ in range(150):
+        n = int(rng.integers(5, 2001))
+        assert_peaks_match_the_oracle(
+            1e-2 * np.cumsum(rng.normal(size=n))
+            + rng.uniform(0.0, 0.1) * np.sin(rng.uniform(0.01, 1.0) * np.arange(n)))
+        steps = 1e-3 * np.round(2.0 * rng.normal(size=n))
+        steps[:rng.integers(0, n)] = 0.0
+        steps[n - rng.integers(0, n):] = 0.0
+        assert_peaks_match_the_oracle(np.cumsum(steps))
+        assert_peaks_match_the_oracle(np.cumsum(np.abs(steps)))
+
+
+@pytest.mark.parametrize("kind", ["edge", "center", "discreteness"])
+def test_demo_gain_curves_peak_as_the_scipy_oracle(kind):
+    demo = Path(__file__).resolve().parent.parent / "demos"
+    config = load_config(str(demo / f"oscillations_{kind}.ini"), "oscillations")
+    section = config["oscillations"]
+    variants = section["variants_points" if kind == "discreteness"
+                       else "variants_rad_per_s"]
+    for result in oscillation_study(kind, variants,
+                                    sigma=config["prior"]["sigma_rad_per_s"],
+                                    n_t=section["n_t"],
+                                    m=section["grid_points"]):
+        assert_peaks_match_the_oracle(result.gain_bits)
 
 
 def test_first_step_curve_monotone_rise():
