@@ -118,21 +118,25 @@ def entropy(dist: FieldDistribution) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def _entr(p: np.ndarray) -> np.ndarray:
+    """-p ln p within 2 ulp of SciPy's entr, and +0.0 at p = 0 and p = 1."""
+    return -(p * np.log(p, out=np.zeros_like(p), where=p != 0.0)) + 0.0
+
+
 def expected_gain(dist: FieldDistribution, t: float, prep, readout,
                   params: DecoherenceParams) -> float:
     """Expected information gain (bits) of a prospective measurement.
 
     The mutual information between field and outcome,
-    H(sum_w p(w) P(.|w)) - sum_w p(w) H(P(.|w)), with 0 ln 0 = 0: the
-    entropy of the outcome marginal minus the prior-averaged entropy of
-    each grid point's outcome distribution (Lindley, Ann. Math. Stat. 27,
-    986, 1956).  It equals the expected drop from prior to posterior
-    entropy.  Summation order is fixed, so the result is deterministic.
+    H(sum_w p(w) P(.|w)) - sum_w p(w) H(P(.|w)): the entropy of the
+    outcome marginal minus the prior-averaged entropy of each grid point's
+    outcome distribution (Lindley, Ann. Math. Stat. 27, 986, 1956), which
+    is the expected drop from prior to posterior entropy.  -p ln p is the
+    numpy ``_entr``, with 0 ln 0 = 0; the summation order is fixed.
     """
-    from scipy.special import entr  # deferred: it is most of the import time
     lik = likelihood_grid(prep, t, readout, dist.grid.points, params)  # (m, 3)
-    h_outcome = entr(dist.weights @ lik).sum()
-    h_outcome_given_field = dist.weights @ entr(lik).sum(axis=1)
+    h_outcome = _entr(dist.weights @ lik).sum()
+    h_outcome_given_field = dist.weights @ _entr(lik).sum(axis=1)
     return (h_outcome - h_outcome_given_field) / LN2
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 from scipy.signal import find_peaks
-from scipy.special import exprel
+from scipy.special import entr as scipy_entr, exprel
 
 from quditmag.bayes import LN2, FieldDistribution, entropy
 from quditmag.decoherence import DecoherenceParams, likelihood_grid
@@ -205,6 +205,16 @@ def entropy_difference_gain(dist: FieldDistribution, t: float, prep, readout,
         nz = post[post > 0.0]
         s_expected += marginals[xi] * float(-(nz * np.log(nz)).sum())
     return (entropy(dist) - s_expected) / LN2
+
+
+def scipy_expected_gain(dist: FieldDistribution, t: float, prep, readout,
+                        params: DecoherenceParams) -> float:
+    """``bayes.expected_gain`` with ``scipy.special.entr`` for -p ln p, the
+    earlier package body."""
+    lik = likelihood_grid(prep, t, readout, dist.grid.points, params)
+    h_outcome = scipy_entr(dist.weights @ lik).sum()
+    h_outcome_given_field = dist.weights @ scipy_entr(lik).sum(axis=1)
+    return (h_outcome - h_outcome_given_field) / LN2
 
 
 def kitaev_max_steps(t1: float, t_ceiling: float) -> int:

@@ -578,34 +578,36 @@ def scipy_modules():
 
 import quditmag, quditmag.cli
 assert not scipy_modules(), f"loaded at import: {scipy_modules()}"
-for command, config in zip(("lama-trace", "compare", "oscillations"),
-                           sys.argv[2:5]):
+commands = ("lama-trace", "compare", "gain-curve", "oscillations", "optimize")
+for command, config in zip(commands, sys.argv[2:7]):
     code = quditmag.cli.main([command, "--config", config,
-                              "--out", sys.argv[5] + command])
+                              "--out", sys.argv[7] + command])
     assert code == 0, f"{command} exited {code}"
-    if command != "oscillations":
+    if command != "optimize":
         assert not scipy_modules(), f"{command} loaded {scipy_modules()}"
-assert "scipy.special" in sys.modules, scipy_modules()
-for name in ("scipy.signal", "scipy.ndimage", "scipy.stats"):
-    assert name not in sys.modules, f"oscillations loaded {name}"
+assert "scipy.optimize" in sys.modules, scipy_modules()
 """
 
 
-def test_package_import_loads_no_scipy(tmp_path):
+def test_only_optimize_loads_scipy(tmp_path):
     """A fresh process that imports the package and its CLI loads numpy and
     no SciPy module.  A coherent lama-trace (T_c = inf, so the cascade feed
-    takes its exprel branch) and a small compare load none either; the
-    first oscillations run then imports scipy.special, for its gains,
-    inside the CLI's np.errstate(raise) block and exits 0, and its peak
-    finder loads none of scipy.signal, scipy.ndimage and scipy.stats."""
+    takes its exprel branch), a small compare, a small gain-curve and an
+    oscillations run, each inside the CLI's np.errstate(raise) block, load
+    none either; a tiny optimize then loads scipy.optimize for its pulse
+    search."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     configs = [
         write(tmp_path, "trace.ini", "[lama-trace]\noutcomes = 0, 1, 2\n"
               "[prior]\ngrid_points = 256\n"),
         write(tmp_path, "compare.ini", "[compare]\nprotocols = lama, kitaev\n"
               "n_steps = 4\nn_experiments = 2\n[prior]\ngrid_points = 256\n"),
+        write(tmp_path, "gain.ini", "[gain-curve]\nn_t = 5\n"
+              "[prior]\ngrid_points = 256\n"),
         write(tmp_path, "osc.ini", "[oscillations]\nkind = edge\n"
               "variants_rad_per_s = 1e8\nn_t = 50\ngrid_points = 256\n"),
+        write(tmp_path, "optimize.ini", "[optimize]\nt_ns = 15\nbudget = 5\n"
+              "n_starts = 1\n[prior]\ngrid_points = 64\n"),
     ]
     child = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", IMPORT_PROBE,

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (einsum_likelihood_grid, entropy_difference_gain,
-                     entrywise_decohere_channel)
+                     entrywise_decohere_channel, scipy_entr,
+                     scipy_expected_gain)
 from quditmag import decoherence
-from quditmag.bayes import (FieldGrid, PriorSpec, SIGMA_DEFAULT,
+from quditmag.bayes import (FieldGrid, PriorSpec, SIGMA_DEFAULT, _entr,
                             bayes_update, expected_gain)
 from quditmag.core import balanced_state, fourier_gate, pulse_unitary, xy_state
 from quditmag.decoherence import (DecoherenceParams, decohere_channel,
@@ -84,6 +85,40 @@ def test_expected_gain_is_the_entropy_difference(measurement, m):
     gain = expected_gain(prior, t, prep, readout, params)
     reference = entropy_difference_gain(prior, t, prep, readout, params)
     assert abs(gain - reference) <= 1e-12
+
+
+def test_entr_is_within_2_ulp_of_scipy():
+    """The numpy -p ln p against SciPy's entr on [0, 1], the ends, the
+    smallest subnormal and NaN: +0.0 at 0, NaN for NaN, else 2 ulp."""
+    rng = np.random.default_rng(21)
+    p = np.concatenate([rng.random(200_000), rng.random(1000) ** 40,
+                        [0.0, 1.0, 5e-324, 1e-310, 0.5, 1.0 - 2.0**-53]])
+    got, want = _entr(p), scipy_entr(p)
+    assert np.all(np.abs(got.view(np.int64) - want.view(np.int64)) <= 2)
+    assert not np.signbit(got).any()
+    zero, nan = _entr(np.array([0.0, np.nan]))
+    assert zero == 0.0 and not np.signbit(zero) and np.isnan(nan)
+
+
+@pytest.mark.parametrize("coherence_time", [np.inf, 5e-6, 0.5e-6])
+def test_expected_gain_equals_the_scipy_oracle(coherence_time):
+    """The gain with the numpy entr against the SciPy form, over random
+    pulse preps and readouts, delays and grid sizes, and the t = 0 case
+    whose outcome marginal holds exact zeros."""
+    rng = np.random.default_rng(21)
+    params = (DecoherenceParams() if np.isinf(coherence_time) else
+              DecoherenceParams.from_coherence_time(coherence_time))
+    cases = [(64, balanced_state(3), fourier_gate(3), 0.0)]
+    for _ in range(30):
+        psi = rng.random(3) * np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
+        cases.append((int(rng.integers(2, 8193)), psi / np.linalg.norm(psi),
+                      pulse_unitary(*rng.uniform(-np.pi, np.pi, 3)),
+                      rng.uniform(0.0, 5e-6)))
+    for m, prep, readout, t in cases:
+        prior = PriorSpec(0.0, SIGMA_DEFAULT, 12.0, m).build()
+        gain = expected_gain(prior, t, prep, readout, params)
+        reference = scipy_expected_gain(prior, t, prep, readout, params)
+        assert abs(gain - reference) <= 1e-15, (m, t)
 
 
 @st.composite
