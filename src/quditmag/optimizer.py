@@ -4,7 +4,9 @@ The objective is the expected information gain of a single prospective step
 with preparation exp(-i H(eps_p, d1_p, d2_p))|0> and readout
 exp(-i H(eps_r, d1_r, d2_r)); the search is a multi-start Nelder-Mead over
 the box [-pi, pi]^6 (pulse phases are periodic, so the box loses nothing).
-Ties between equal optima are broken by start order.
+Ties between equal optima are broken by start order.  The Nelder-Mead is
+numpy code that takes SciPy's bounded, non-adaptive steps and returns its
+bits, so no run loads SciPy.
 """
 
 from __future__ import annotations
@@ -18,6 +20,76 @@ from .core import pulse_unitary
 from .decoherence import DecoherenceParams
 
 SEARCH_BOX = (-np.pi, np.pi)
+
+
+class _Spent(Exception):
+    """The Nelder-Mead evaluation cap is reached."""
+
+
+def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float):
+    """Minimize f over the search box from x0: (x, f(x), evaluations).
+
+    SciPy's bounded, non-adaptive Nelder-Mead step for step: its initial
+    simplex, its reflection into the box, its argsort tie order and its stop
+    at the cap, even inside the initial simplex or a shrink.  The
+    coefficients are exact in binary, so every point has SciPy's bits.
+    """
+    lo, hi = SEARCH_BOX
+    n = len(x0)
+    sim = np.tile(np.clip(x0, lo, hi), (n + 1, 1))
+    np.fill_diagonal(sim[1:], np.where(sim[0] != 0, 1.05 * sim[0], 0.00025))
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Spent
+        nfev += 1
+        return f(x)
+
+    def step():
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        fxr = call(xr := np.clip(2 * xbar - sim[-1], lo, hi))
+        if fxr < fsim[0]:
+            fxe = call(xe := np.clip(3 * xbar - 2 * sim[-1], lo, hi))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            inside = not fxr < fsim[-1]
+            xc = 0.5 * xbar + 0.5 * sim[-1] if inside \
+                else 1.5 * xbar - 0.5 * sim[-1]
+            fxc = call(xc := np.clip(xc, lo, hi))
+            if (fxc < fsim[-1]) if inside else (fxc <= fxr):
+                sim[-1], fsim[-1] = xc, fxc
+                return
+            for j in range(1, n + 1):
+                sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                fsim[j] = call(sim[j])
+
+    def settle(stage):
+        nonlocal sim, fsim
+        try:
+            stage()
+        except _Spent:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    def simplex():
+        for j in range(n + 1):
+            fsim[j] = call(sim[j])
+
+    settle(simplex)
+    settle(lambda: None)  # SciPy sorts the initial simplex twice
+    while nfev < maxfev:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        settle(step)
+    return sim[0], np.min(fsim), nfev
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +118,6 @@ def optimize_step_params(dist: FieldDistribution, t: float,
     preparation parameters are searched and the result holds ``fix_readout``
     with zeros as readout parameters.  Deterministic given rng_seed.
     """
-    # deferred: scipy.optimize takes ~0.25 s to load; nothing else needs it
-    from scipy.optimize import minimize
     if n_starts < 1:
         raise ValueError("need at least one start")
     if budget < 1:
@@ -56,7 +126,6 @@ def optimize_step_params(dist: FieldDistribution, t: float,
     ndim = 3 if fix_readout is not None else 6
     rng = np.random.default_rng(rng_seed)
     starts = rng.uniform(SEARCH_BOX[0], SEARCH_BOX[1], size=(n_starts, ndim))
-    bounds = [SEARCH_BOX] * ndim
     n_evals = 0
     exhausted = False
 
@@ -66,29 +135,27 @@ def optimize_step_params(dist: FieldDistribution, t: float,
         return pulse_unitary(*s[:3])[:, 0], readout
 
     def objective(s) -> float:
-        nonlocal n_evals
-        n_evals += 1
         return -expected_gain(dist, t, *pulses(s), decoherence)
 
     best_s = None
     best_val = np.inf
     start_gains = np.empty(n_starts)
     for idx in range(n_starts):
-        res = minimize(objective, starts[idx], method="Nelder-Mead",
-                       bounds=bounds,
-                       options={"maxfev": budget, "xatol": 1e-8, "fatol": 1e-12})
-        start_gains[idx] = -res.fun
-        if res.nfev >= budget:
+        x, val, nfev = _nelder_mead(objective, starts[idx], budget,
+                                    1e-8, 1e-12)
+        start_gains[idx] = -val
+        n_evals += nfev
+        if nfev >= budget:
             exhausted = True
-        if res.fun < best_val:
-            best_val = res.fun
-            best_s = res.x
+        if val < best_val:
+            best_val = val
+            best_s = x
     # polish the winner once more from its own optimum
-    res = minimize(objective, best_s, method="Nelder-Mead", bounds=bounds,
-                   options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-13})
-    if res.fun < best_val:
-        best_val = res.fun
-        best_s = res.x
+    x, val, nfev = _nelder_mead(objective, best_s, budget, 1e-10, 1e-13)
+    n_evals += nfev
+    if val < best_val:
+        best_val = val
+        best_s = x
 
     best_prep, best_readout = pulses(best_s)
     if fix_readout is not None:

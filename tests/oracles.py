@@ -4,23 +4,26 @@ Each oracle reaches its answer by a different route than the package code
 it checks: the master equation instead of the closed-form channel, the
 three-term cosine expansion instead of the density-matrix kernel, the
 entropy-difference gain instead of the mutual-information form.  The
-einsum kernel, the entry-by-entry channel and SciPy's detrended peak
-finder are the earlier package bodies, which the package must still equal
-bit for bit.  None of these run in any workload, so they live here and not
-in ``quditmag``.
+einsum kernel, the entry-by-entry channel, SciPy's detrended peak finder
+and the SciPy-driven pulse search are the earlier package bodies, which
+the package must still equal bit for bit.  None of these run in any
+workload, so they live here and not in ``quditmag``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
+from scipy.optimize import minimize
 from scipy.signal import find_peaks
 from scipy.special import entr as scipy_entr, exprel
 
-from quditmag.bayes import LN2, FieldDistribution, entropy
+from quditmag.bayes import LN2, FieldDistribution, entropy, expected_gain
+from quditmag.core import pulse_unitary
 from quditmag.decoherence import DecoherenceParams, likelihood_grid
 from quditmag.harness import (PEAK_PROMINENCE_BITS, GainCurve, ScalingEstimate,
                               sliding_alpha)
+from quditmag.optimizer import SEARCH_BOX, OptimizationResult
 
 UNITARITY_TOL = 1e-12
 
@@ -240,3 +243,63 @@ def scipy_detrended_peaks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     size = max(len(y) // 10, 5)
     resid = y - uniform_filter1d(y, size=size, mode="nearest")
     return resid, find_peaks(resid, prominence=PEAK_PROMINENCE_BITS)[0]
+
+
+def scipy_nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float):
+    """``optimizer._nelder_mead`` as SciPy's bounded Nelder-Mead on the search
+    box: (x, f(x), evaluations)."""
+    res = minimize(f, x0, method="Nelder-Mead", bounds=[SEARCH_BOX] * len(x0),
+                   options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+    return res.x, res.fun, res.nfev
+
+
+def scipy_optimize_step_params(dist: FieldDistribution, t: float,
+                               decoherence: DecoherenceParams,
+                               budget: int = 400, rng_seed: int = 0,
+                               n_starts: int = 8,
+                               fix_readout=None) -> OptimizationResult:
+    """``optimizer.optimize_step_params`` with SciPy's ``minimize`` for each
+    start and the polish, the earlier package body; it counts evaluations
+    in the objective, where the package adds up the searches' counts."""
+    ndim = 3 if fix_readout is not None else 6
+    rng = np.random.default_rng(rng_seed)
+    starts = rng.uniform(SEARCH_BOX[0], SEARCH_BOX[1], size=(n_starts, ndim))
+    n_evals = 0
+    exhausted = False
+
+    def pulses(s) -> tuple:
+        readout = fix_readout if fix_readout is not None \
+            else pulse_unitary(*s[3:])
+        return pulse_unitary(*s[:3])[:, 0], readout
+
+    def objective(s) -> float:
+        nonlocal n_evals
+        n_evals += 1
+        return -expected_gain(dist, t, *pulses(s), decoherence)
+
+    best_s = None
+    best_val = np.inf
+    start_gains = np.empty(n_starts)
+    for idx in range(n_starts):
+        x, fun, nfev = scipy_nelder_mead(objective, starts[idx], budget,
+                                         1e-8, 1e-12)
+        start_gains[idx] = -fun
+        if nfev >= budget:
+            exhausted = True
+        if fun < best_val:
+            best_val = fun
+            best_s = x
+    x, fun, _ = scipy_nelder_mead(objective, best_s, budget, 1e-10, 1e-13)
+    if fun < best_val:
+        best_val = fun
+        best_s = x
+
+    best_prep, best_readout = pulses(best_s)
+    if fix_readout is not None:
+        best_s = np.concatenate([best_s, np.zeros(3)])
+    return OptimizationResult(best_params=best_s,
+                              best_gain=float(-best_val),
+                              n_evaluations=n_evals, starts=n_starts,
+                              budget_exhausted=exhausted,
+                              start_gains=start_gains, best_prep=best_prep,
+                              best_readout=best_readout)

@@ -583,19 +583,16 @@ for command, config in zip(commands, sys.argv[2:7]):
     code = quditmag.cli.main([command, "--config", config,
                               "--out", sys.argv[7] + command])
     assert code == 0, f"{command} exited {code}"
-    if command != "optimize":
-        assert not scipy_modules(), f"{command} loaded {scipy_modules()}"
-assert "scipy.optimize" in sys.modules, scipy_modules()
+    assert not scipy_modules(), f"{command} loaded {scipy_modules()}"
 """
 
 
-def test_only_optimize_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     """A fresh process that imports the package and its CLI loads numpy and
     no SciPy module.  A coherent lama-trace (T_c = inf, so the cascade feed
-    takes its exprel branch), a small compare, a small gain-curve and an
-    oscillations run, each inside the CLI's np.errstate(raise) block, load
-    none either; a tiny optimize then loads scipy.optimize for its pulse
-    search."""
+    takes its exprel branch), a small compare, a small gain-curve, an
+    oscillations run and a tiny optimize, each inside the CLI's
+    np.errstate(raise) block, load none either."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     configs = [
         write(tmp_path, "trace.ini", "[lama-trace]\noutcomes = 0, 1, 2\n"
