@@ -41,10 +41,6 @@ class GainCurve:
         if np.any(np.diff(self.t_phi) <= 0):
             raise ValueError("t_phi must be strictly increasing")
 
-    def gain_at(self, t: float) -> float:
-        """Linear interpolation of the mean cumulative gain at time t."""
-        return float(np.interp(t, self.t_phi, self.mean_gain_bits))
-
 
 @dataclass(frozen=True)
 class ScalingEstimate:

@@ -31,8 +31,10 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float):
 
     SciPy's bounded, non-adaptive Nelder-Mead step for step: its initial
     simplex, its reflection into the box, its argsort tie order and its stop
-    at the cap, even inside the initial simplex or a shrink.  The
-    coefficients are exact in binary, so every point has SciPy's bits.
+    at the cap, even inside the initial simplex or a shrink.  Every trial
+    point is c * xbar + (1 - c) * worst, clipped to the box, with c = 2
+    (reflection), 3 (expansion), 1.5 (outside) or 0.5 (inside contraction):
+    c and 1 - c are exact in binary, so every point has SciPy's bits.
     """
     lo, hi = SEARCH_BOX
     n = len(x0)
@@ -49,46 +51,42 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float):
         nfev += 1
         return f(x)
 
+    def trial(c, xbar):
+        return (x := np.clip(c * xbar + (1 - c) * sim[-1], lo, hi)), call(x)
+
     def step():
         xbar = np.add.reduce(sim[:-1], 0) / n
-        fxr = call(xr := np.clip(2 * xbar - sim[-1], lo, hi))
+        xr, fxr = trial(2, xbar)
         if fxr < fsim[0]:
-            fxe = call(xe := np.clip(3 * xbar - 2 * sim[-1], lo, hi))
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            inside = not fxr < fsim[-1]
-            xc = 0.5 * xbar + 0.5 * sim[-1] if inside \
-                else 1.5 * xbar - 0.5 * sim[-1]
-            fxc = call(xc := np.clip(xc, lo, hi))
-            if (fxc < fsim[-1]) if inside else (fxc <= fxr):
-                sim[-1], fsim[-1] = xc, fxc
-                return
-            for j in range(1, n + 1):
-                sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
-                fsim[j] = call(sim[j])
-
-    def settle(stage):
-        nonlocal sim, fsim
-        try:
-            stage()
-        except _Spent:
-            pass
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-
-    def simplex():
-        for j in range(n + 1):
+            xe, fxe = trial(3, xbar)
+            return (xe, fxe) if fxe < fxr else (xr, fxr)
+        if fxr < fsim[-2]:
+            return xr, fxr
+        inside = not fxr < fsim[-1]
+        xc, fxc = trial(0.5 if inside else 1.5, xbar)
+        if (fxc < fsim[-1]) if inside else (fxc <= fxr):
+            return xc, fxc
+        for j in range(1, n + 1):
+            sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
             fsim[j] = call(sim[j])
+        return sim[-1], fsim[-1]
 
-    settle(simplex)
-    settle(lambda: None)  # SciPy sorts the initial simplex twice
+    def sort():
+        order = np.argsort(fsim)
+        sim[:], fsim[:] = np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    fsim[:maxfev] = [call(x) for x in sim[:maxfev]]
+    sort()
+    sort()  # SciPy sorts the initial simplex twice
     while nfev < maxfev:
         if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
             break
-        settle(step)
+        try:
+            sim[-1], fsim[-1] = step()
+        except _Spent:
+            pass
+        sort()
     return sim[0], np.min(fsim), nfev
 
 
@@ -113,10 +111,12 @@ def optimize_step_params(dist: FieldDistribution, t: float,
                          fix_readout=None) -> OptimizationResult:
     """Multi-start Nelder-Mead maximization of the expected gain.
 
-    ``budget`` caps objective evaluations per start (>= 100 for meaningful
-    results).  With ``fix_readout`` set (e.g. to F_3), only the three
-    preparation parameters are searched and the result holds ``fix_readout``
-    with zeros as readout parameters.  Deterministic given rng_seed.
+    ``budget`` caps objective evaluations per start and for the polish of
+    the best one (>= 100 for meaningful results): ``n_evaluations <= budget
+    * (n_starts + 1)``, and ``budget_exhausted`` looks at the starts only.
+    With ``fix_readout`` set (e.g. to F_3), only the three preparation
+    parameters are searched and the result holds ``fix_readout`` with zeros
+    as readout parameters.  Deterministic given rng_seed.
     """
     if n_starts < 1:
         raise ValueError("need at least one start")
@@ -126,8 +126,6 @@ def optimize_step_params(dist: FieldDistribution, t: float,
     ndim = 3 if fix_readout is not None else 6
     rng = np.random.default_rng(rng_seed)
     starts = rng.uniform(SEARCH_BOX[0], SEARCH_BOX[1], size=(n_starts, ndim))
-    n_evals = 0
-    exhausted = False
 
     def pulses(s) -> tuple:
         readout = fix_readout if fix_readout is not None \
@@ -137,32 +135,20 @@ def optimize_step_params(dist: FieldDistribution, t: float,
     def objective(s) -> float:
         return -expected_gain(dist, t, *pulses(s), decoherence)
 
-    best_s = None
-    best_val = np.inf
-    start_gains = np.empty(n_starts)
-    for idx in range(n_starts):
-        x, val, nfev = _nelder_mead(objective, starts[idx], budget,
-                                    1e-8, 1e-12)
-        start_gains[idx] = -val
-        n_evals += nfev
-        if nfev >= budget:
-            exhausted = True
-        if val < best_val:
-            best_val = val
-            best_s = x
+    runs = [_nelder_mead(objective, s, budget, 1e-8, 1e-12) for s in starts]
+    start_gains = -np.array([val for _, val, _ in runs])
+    best = runs[np.argmax(start_gains)]
     # polish the winner once more from its own optimum
-    x, val, nfev = _nelder_mead(objective, best_s, budget, 1e-10, 1e-13)
-    n_evals += nfev
-    if val < best_val:
-        best_val = val
-        best_s = x
+    polish = _nelder_mead(objective, best[0], budget, 1e-10, 1e-13)
+    best_s, best_val, _ = polish if polish[1] < best[1] else best
 
     best_prep, best_readout = pulses(best_s)
     if fix_readout is not None:
         best_s = np.concatenate([best_s, np.zeros(3)])
-    return OptimizationResult(best_params=best_s,
-                              best_gain=float(-best_val),
-                              n_evaluations=n_evals, starts=n_starts,
-                              budget_exhausted=exhausted,
-                              start_gains=start_gains, best_prep=best_prep,
-                              best_readout=best_readout)
+    return OptimizationResult(
+        best_params=best_s, best_gain=float(-best_val),
+        n_evaluations=sum(nfev for _, _, nfev in runs + [polish]),
+        starts=n_starts,
+        budget_exhausted=any(nfev >= budget for _, _, nfev in runs),
+        start_gains=start_gains, best_prep=best_prep,
+        best_readout=best_readout)

@@ -87,13 +87,6 @@ def test_mean_curve_nondecreasing():
     assert np.all(np.diff(curve.mean_gain_bits) > -1e-9)
 
 
-def test_gain_at_interpolates():
-    curve = GainCurve(t_phi=np.array([1.0, 2.0, 3.0]),
-                      mean_gain_bits=np.array([0.0, 1.0, 2.0]),
-                      stderr=np.zeros(3))
-    assert curve.gain_at(1.5) == pytest.approx(0.5)
-
-
 def test_scaling_exponent_exact_log_curve():
     """gain = ln(t/t0) in nats has slope exactly one."""
     t = np.geomspace(1e-8, 1e-5, 60)
