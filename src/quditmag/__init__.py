@@ -23,5 +23,5 @@ from .harness import (EnsembleConfig, GainCurve, OscillationResult,
                       sliding_alpha)
 from .optimizer import OptimizationResult, optimize_step_params
 from .protocols import (READOUT, ProtocolConfig, ProtocolTrajectory,
-                        StepRecord, fourier_max_steps, run_protocol,
-                        schedule_delays, step_prep)
+                        StepRecord, fourier_max_steps, protocol_steps,
+                        run_protocol, schedule_delays, step_prep)

@@ -30,7 +30,8 @@ from .core import balanced_state, spin_xy_projection, xy_state
 from .harness import (EnsembleConfig, first_step_gain_curve,
                       oscillation_study, run_ensemble, sliding_alpha)
 from .optimizer import optimize_step_params
-from .protocols import READOUT, ProtocolConfig, run_protocol
+from .protocols import (READOUT, ProtocolConfig, protocol_steps,
+                        schedule_delays)
 
 # Display-only conversion factor between the reduced field (rad/s) and the
 # flux axis used for presentation; enabled with [lama-trace] axis = flux.
@@ -118,26 +119,26 @@ def cmd_lama_trace(config: dict):
     protocol = ProtocolConfig("lama", t1=si_seconds(config, "lama-trace", "t1_ns"),
                               dt=si_seconds(config, "lama-trace", "dt_ns"),
                               n_steps=len(outcomes), decoherence=decoherence)
-    traj = run_protocol(protocol, prior, rng_seed=config["run"]["seed"],
-                        forced_outcomes=list(outcomes))
+    trajectory = protocol_steps(protocol, prior, rng_seed=config["run"]["seed"],
+                                forced_outcomes=list(outcomes))
+    t_phis = np.cumsum(schedule_delays(protocol))
 
     axis = section["axis"]
     points = prior.grid.points / FLUX_SCALE if axis == "flux" else prior.grid.points
-    columns = [points, prior.weights] + [s.posterior.weights for s in traj.steps]
-    header = ([axis, "prior"]
-              + [f"step_{i}" for i in range(1, len(outcomes) + 1)])
-    posterior_rows = list(zip(*columns))
-
+    columns = [points, prior.weights]
     gain_rows = []
     stats = []
-    for i, (step, t_phi) in enumerate(zip(traj.steps,
-                                          traj.cumulative_times())):
-        mean, std = posterior_stats(step.posterior)
-        gain_rows.append((i + 1, float(t_phi) * 1e6, step.gain_bits, mean,
-                          std))
-        stats.append({"step": i + 1, "outcome": step.outcome,
+    for i, ((step, posterior), t_phi) in enumerate(zip(trajectory, t_phis),
+                                                   start=1):
+        columns.append(posterior.weights)
+        mean, std = posterior_stats(posterior)
+        gain_rows.append((i, float(t_phi) * 1e6, step.gain_bits, mean, std))
+        stats.append({"step": i, "outcome": step.outcome,
                       "posterior_mean_rad_per_s": mean,
                       "posterior_std_rad_per_s": std})
+    header = ([axis, "prior"]
+              + [f"step_{i}" for i in range(1, len(outcomes) + 1)])
+    posterior_rows = zip(*columns)       # rendered row by row, not stored
     csv_files = [
         ("lama_trace_posteriors.csv", header, posterior_rows),
         ("lama_trace_gains.csv",

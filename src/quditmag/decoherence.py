@@ -20,6 +20,10 @@ probabilities on a whole field grid of m points, in this order:
    returned as the (m, 3) transpose of that (3, m) array, so
    Fortran-ordered.
 
+psi is dropped once rho_t exists and rho_t once its (3m, 3) copy exists, so
+at most two (m, 3, 3) complex arrays (1.2 MB each at m = 8192) are alive
+at once: the channel's input and output, then the copy and amp.
+
 The result equals the earlier einsum kernel (``tests/oracles.py``) byte for
 byte, strides included, under numpy 2.4 with OpenBLAS 0.3.31; a property
 test holds it to that.  Exactness is the contract because the benchmark's
@@ -173,9 +177,11 @@ def likelihood_grid(prep, t: float, readout, omegas, params: DecoherenceParams):
         np.multiply(phases[k - 1], prep[k], out=psi[k])
 
     rho_t = psi.T[:, None, :] * psi.conj().T[:, :, None]  # [omega, q, p]: rho_pq
+    del psi
     rho_t = decohere_channel(rho_t, t, params)
-
-    amp = rho_t.reshape(3 * m, 3) @ readout.T    # (R rho)_xq at [omega, q, x]
+    amp = rho_t.reshape(3 * m, 3)                # a copy: rho_t is not C-ordered
+    del rho_t
+    amp = amp @ readout.T                        # (R rho)_xq at [omega, q, x]
     probs = readout.conj()[:, None, :] @ amp.reshape(m, 3, 3).transpose(2, 1, 0)
     table = probs.reshape(3, m).T.real.clip(0.0, 1.0)
     table.flags.writeable = False

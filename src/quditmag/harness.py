@@ -67,8 +67,8 @@ def run_ensemble(config: EnsembleConfig) -> GainCurve:
     t_phi = np.cumsum(schedule_delays(config.protocol))
     gains = np.empty((config.n_experiments, config.protocol.n_steps))
     for k in range(config.n_experiments):
-        traj = run_protocol(config.protocol, prior, rng_seed=config.seed + k)
-        gains[k] = traj.cumulative_gain_bits()
+        gains[k] = run_protocol(config.protocol, prior,
+                                rng_seed=config.seed + k).cumulative_gain_bits()
     mean = gains.mean(axis=0)
     if config.n_experiments > 1:
         stderr = gains.std(axis=0, ddof=1) / np.sqrt(config.n_experiments)

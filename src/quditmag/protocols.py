@@ -46,20 +46,17 @@ class ProtocolConfig:
             raise ValueError("every delay must be positive")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StepRecord:
     delay: float
     outcome: int
-    posterior: FieldDistribution
     gain_bits: float             # entropy drop of this step's update
 
 
 @dataclass(frozen=True, eq=False)
 class ProtocolTrajectory:
     steps: list[StepRecord]
-
-    def cumulative_times(self) -> np.ndarray:
-        return np.cumsum([s.delay for s in self.steps])
+    posterior: FieldDistribution     # after the last step; the prior if none
 
     def cumulative_gain_bits(self) -> np.ndarray:
         return np.cumsum([s.gain_bits for s in self.steps])
@@ -129,10 +126,11 @@ def _sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
-def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
-                 rng_seed: int, true_omega: float | None = None,
-                 forced_outcomes=None) -> ProtocolTrajectory:
-    """Execute a full trajectory of PER steps against the Bayes engine.
+def protocol_steps(config: ProtocolConfig, prior: FieldDistribution,
+                   rng_seed: int, true_omega: float | None = None,
+                   forced_outcomes=None):
+    """Execute a trajectory of PER steps against the Bayes engine, yielding
+    ``(StepRecord, posterior)`` for each step as it is taken.
 
     Outcome source, first that applies:
 
@@ -141,7 +139,9 @@ def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
     * otherwise           -- sample from the outcome marginal under the
       current posterior (the simulation prescription of all ensemble runs).
 
-    Deterministic given its arguments.
+    Deterministic given its arguments.  The generator holds one posterior
+    at a time, so a caller that keeps none holds no more than two.  It
+    checks its arguments when the first step is drawn.
     """
     if forced_outcomes is not None:
         if len(forced_outcomes) < config.n_steps:
@@ -152,9 +152,9 @@ def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
     rng = np.random.default_rng(rng_seed)
     dist = prior
     s_before = entropy(dist)
-    steps: list[StepRecord] = []
+    outcomes: list[int] = []
     for i, delay in enumerate(schedule_delays(config), start=1):
-        prep = step_prep(config.kind, [s.outcome for s in steps])
+        prep = step_prep(config.kind, outcomes)
         lik = likelihood_grid(prep, delay, READOUT, dist.grid.points,
                               config.decoherence)
         if forced_outcomes is not None:
@@ -169,8 +169,20 @@ def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
             dist = bayes_update(dist, lik[:, xi])
         except ImpossibleOutcomeError as err:
             raise ImpossibleOutcomeError(f"step {i}: {err}") from err
+        outcomes.append(xi)
         s_after = entropy(dist)
-        steps.append(StepRecord(delay=delay, outcome=xi, posterior=dist,
-                                gain_bits=(s_before - s_after) / LN2))
+        yield (StepRecord(delay=delay, outcome=xi,
+                          gain_bits=(s_before - s_after) / LN2), dist)
         s_before = s_after
-    return ProtocolTrajectory(steps=steps)
+
+
+def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
+                 rng_seed: int, true_omega: float | None = None,
+                 forced_outcomes=None) -> ProtocolTrajectory:
+    """The records of ``protocol_steps`` with the same arguments, and its
+    last posterior."""
+    steps, posterior = [], prior
+    for step, posterior in protocol_steps(config, prior, rng_seed,
+                                          true_omega, forced_outcomes):
+        steps.append(step)
+    return ProtocolTrajectory(steps=steps, posterior=posterior)

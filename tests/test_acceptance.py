@@ -113,7 +113,7 @@ def test_criterion_5_ternary_recovery(criterion):
     for idx in range(27):
         traj = run_protocol(config, prior, rng_seed=idx,
                             true_omega=grid.points[idx])
-        final = traj.steps[-1].posterior
+        final = traj.posterior
         min_peak = min(min_peak, float(final.weights.max()))
         if np.argmax(final.weights) != idx:
             all_exact = False
@@ -127,7 +127,7 @@ def _fourier_step_gain(t1, step_index, m=16384, seed=0):
     prior = PriorSpec(m=m).build()
     config = ProtocolConfig("fourier", t1=t1, n_steps=step_index - 1)
     traj = run_protocol(config, prior, rng_seed=seed)
-    dist = traj.steps[-1].posterior if traj.steps else prior
+    dist = traj.posterior
     delay = schedule_delays(replace(config, n_steps=step_index))[-1]
     prep = step_prep("fourier", [s.outcome for s in traj.steps])
     return expected_gain(dist, delay, prep, READOUT, NO_DECAY)
@@ -285,7 +285,7 @@ def test_criterion_12_property_suites(criterion, prior_8192):
     traj = run_protocol(ProtocolConfig("lama", t1=15e-9, dt=40e-9,
                                        n_steps=10), prior_8192, rng_seed=4)
     telescoped = (qm.entropy(prior_8192)
-                  - qm.entropy(traj.steps[-1].posterior)) / np.log(2)
+                  - qm.entropy(traj.posterior)) / np.log(2)
     checks["gain_telescoping"] = abs(
         traj.cumulative_gain_bits()[-1] - telescoped) < 1e-9
 

@@ -1,5 +1,7 @@
 """Step schedulers, feedback rules and full trajectory execution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from quditmag.optimizer import optimize_step_params
 from oracles import kitaev_max_steps
 from quditmag.protocols import (PROTOCOL_KINDS, READOUT, ProtocolConfig,
                                 fourier_feedback_phase, fourier_max_steps,
-                                run_protocol, schedule_delays, step_prep)
+                                protocol_steps, run_protocol, schedule_delays,
+                                step_prep)
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +117,7 @@ def test_array_holding_records_support_eq_and_hash(prior):
     b = run_protocol(config, prior, rng_seed=0)
     search = [optimize_step_params(prior, 15e-9, DecoherenceParams.none(),
                                    budget=5, n_starts=1) for _ in range(2)]
-    pairs = [(a, b), (a.steps[0], b.steps[0]), (prior, a.steps[0].posterior),
-             tuple(search)]
+    pairs = [(a, b), (prior, a.posterior), tuple(search)]
     for x, y in pairs:
         assert x == x and x != y
         assert len({x, y}) == 2
@@ -133,19 +135,34 @@ def test_trajectory_determinism(kind, prior):
     t1 = 2.4e-6 if kind.startswith("fourier") else 15e-9
     config = ProtocolConfig(kind, t1=t1, dt=40e-9, n_steps=5,
                             decoherence=DecoherenceParams.from_coherence_time(5e-6))
-    a = run_protocol(config, prior, rng_seed=42)
-    b = run_protocol(config, prior, rng_seed=42)
-    assert [s.outcome for s in a.steps] == [s.outcome for s in b.steps]
-    for step_a, step_b in zip(a.steps, b.steps):
-        assert np.array_equal(step_a.posterior.weights, step_b.posterior.weights)
-        assert step_a.gain_bits == step_b.gain_bits
+    a = list(protocol_steps(config, prior, rng_seed=42))
+    b = list(protocol_steps(config, prior, rng_seed=42))
+    assert len(a) == len(b) == 5
+    for (step_a, posterior_a), (step_b, posterior_b) in zip(a, b):
+        assert step_a == step_b          # delay, outcome and gain_bits
+        assert np.array_equal(posterior_a.weights, posterior_b.weights)
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_run_protocol_collects_protocol_steps(kind, prior):
+    """run_protocol keeps protocol_steps' records and, bit for bit, its last
+    posterior; with no steps, the posterior is the prior."""
+    t1 = 2.4e-6 if kind.startswith("fourier") else 15e-9
+    config = ProtocolConfig(kind, t1=t1, dt=40e-9, n_steps=5,
+                            decoherence=DecoherenceParams.from_coherence_time(5e-6))
+    streamed = list(protocol_steps(config, prior, rng_seed=7))
+    traj = run_protocol(config, prior, rng_seed=7)
+    assert traj.steps == [step for step, _ in streamed]
+    assert traj.posterior.weights.tobytes() == streamed[-1][1].weights.tobytes()
+    empty = run_protocol(replace(config, n_steps=0), prior, rng_seed=7)
+    assert empty.steps == [] and empty.posterior is prior
 
 
 def test_gain_telescoping(prior):
     config = ProtocolConfig("lama", t1=15e-9, dt=40e-9, n_steps=10)
     traj = run_protocol(config, prior, rng_seed=3)
     total = traj.cumulative_gain_bits()[-1]
-    direct = (entropy(prior) - entropy(traj.steps[-1].posterior)) / np.log(2)
+    direct = (entropy(prior) - entropy(traj.posterior)) / np.log(2)
     assert total == pytest.approx(direct, abs=1e-9)
 
 
@@ -181,9 +198,10 @@ def test_impossible_forced_outcome_names_its_step():
 def test_phase_accumulation_time(prior):
     config = ProtocolConfig("lama", t1=15e-9, dt=40e-9, n_steps=5)
     traj = run_protocol(config, prior, rng_seed=0)
-    assert traj.cumulative_times()[-1] == pytest.approx(
+    times = np.cumsum([s.delay for s in traj.steps])
+    assert times[-1] == pytest.approx(
         np.sum(15e-9 + 40e-9 * np.arange(5)), rel=1e-12)
-    assert np.all(np.diff(traj.cumulative_times()) > 0)
+    assert np.all(np.diff(times) > 0)
 
 
 def test_fourier_ternary_recovery_single_field():
@@ -196,6 +214,6 @@ def test_fourier_ternary_recovery_single_field():
     true_omega = grid.points[14]
     config = ProtocolConfig("fourier", t1=t1, n_steps=3)
     traj = run_protocol(config, prior, rng_seed=0, true_omega=true_omega)
-    final = traj.steps[-1].posterior
+    final = traj.posterior
     assert final.weights.max() > 1.0 - 1e-9
     assert grid.points[np.argmax(final.weights)] == pytest.approx(true_omega)
