@@ -44,7 +44,8 @@ class FieldGrid:
 
     @cached_property
     def points(self) -> np.ndarray:
-        points = np.linspace(self.omega_min, self.omega_max, self.m)
+        # owning its data, read-only: the kernel memo may key on the object
+        points = np.linspace(self.omega_min, self.omega_max, self.m).copy()
         points.flags.writeable = False
         return points
 

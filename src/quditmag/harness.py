@@ -15,6 +15,7 @@ from .protocols import READOUT, ProtocolConfig, run_protocol, schedule_delays
 
 SLIDING_WINDOW_DECADES = 0.5     # width of each sliding scaling fit in log10 t
 PEAK_PROMINENCE_BITS = 1e-3      # smallest detrended gain peak that counts
+BLOCK_ROWS = 16                  # experiments run_ensemble runs in lockstep
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,19 @@ def run_ensemble(config: EnsembleConfig) -> GainCurve:
 
     Per-experiment seed is config.seed + experiment index; all five
     protocols have outcome-independent delay schedules, so curves align per
-    step index with no interpolation.
+    step index with no interpolation.  Experiments run in lockstep blocks
+    of ``BLOCK_ROWS`` (``run_protocol``), so memory does not grow with n.
     """
     prior = config.prior.build()
+    n_steps = config.protocol.n_steps
     t_phi = np.cumsum(schedule_delays(config.protocol))
-    gains = np.empty((config.n_experiments, config.protocol.n_steps))
-    for k in range(config.n_experiments):
-        gains[k] = run_protocol(config.protocol, prior,
-                                rng_seed=config.seed + k).cumulative_gain_bits()
+    gains = np.empty((config.n_experiments, n_steps))
+    for start in range(0, config.n_experiments, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, config.n_experiments - start)
+        steps = run_protocol(config.protocol, prior, config.seed + start,
+                             n_experiments=rows).steps
+        block = np.reshape([s.gain_bits for s in steps], (n_steps, rows))
+        gains[start:start + rows] = np.cumsum(block, axis=0).T
     mean = gains.mean(axis=0)
     if config.n_experiments > 1:
         stderr = gains.std(axis=0, ddof=1) / np.sqrt(config.n_experiments)

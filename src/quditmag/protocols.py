@@ -55,11 +55,8 @@ class StepRecord:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolTrajectory:
-    steps: list[StepRecord]
-    posterior: FieldDistribution     # after the last step; the prior if none
-
-    def cumulative_gain_bits(self) -> np.ndarray:
-        return np.cumsum([s.gain_bits for s in self.steps])
+    steps: list[StepRecord]          # in the order taken; see run_protocol
+    posterior: FieldDistribution     # the last experiment's final one
 
 
 def fourier_feedback_phase(previous_outcomes) -> float:
@@ -171,6 +168,7 @@ def protocol_steps(config: ProtocolConfig, prior: FieldDistribution,
             raise ImpossibleOutcomeError(f"step {i}: {err}") from err
         outcomes.append(xi)
         s_after = entropy(dist)
+        del lik     # a suspended generator keeps no table
         yield (StepRecord(delay=delay, outcome=xi,
                           gain_bits=(s_before - s_after) / LN2), dist)
         s_before = s_after
@@ -178,11 +176,20 @@ def protocol_steps(config: ProtocolConfig, prior: FieldDistribution,
 
 def run_protocol(config: ProtocolConfig, prior: FieldDistribution,
                  rng_seed: int, true_omega: float | None = None,
-                 forced_outcomes=None) -> ProtocolTrajectory:
-    """The records of ``protocol_steps`` with the same arguments, and its
-    last posterior."""
+                 forced_outcomes=None,
+                 n_experiments: int = 1) -> ProtocolTrajectory:
+    """Run experiments seeded ``rng_seed``, ``rng_seed + 1``, ... as
+    ``protocol_steps`` in lockstep: each takes step i before any takes
+    step i + 1, so the kernel memo serves a step's table to every
+    experiment with that step's prep.  ``steps`` holds the records in the
+    order taken (experiment k's are ``steps[k::n_experiments]``) and
+    ``posterior`` is the last experiment's final one (the prior for zero
+    steps)."""
+    runs = [protocol_steps(config, prior, rng_seed + k, true_omega,
+                           forced_outcomes) for k in range(n_experiments)]
     steps, posterior = [], prior
-    for step, posterior in protocol_steps(config, prior, rng_seed,
-                                          true_omega, forced_outcomes):
-        steps.append(step)
+    for taken in zip(*runs):
+        for step, posterior in taken:
+            steps.append(step)
+        del taken   # else the next step would start beside these posteriors
     return ProtocolTrajectory(steps=steps, posterior=posterior)

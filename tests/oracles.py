@@ -4,10 +4,10 @@ Each oracle reaches its answer by a different route than the package code
 it checks: the master equation instead of the closed-form channel, the
 three-term cosine expansion instead of the density-matrix kernel, the
 entropy-difference gain instead of the mutual-information form.  The
-einsum kernel, the entry-by-entry channel, SciPy's detrended peak finder
-and the SciPy-driven pulse search are the earlier package bodies, which
-the package must still equal bit for bit.  None of these run in any
-workload, so they live here and not in ``quditmag``.
+einsum kernel, the entry-by-entry channel, SciPy's detrended peak finder,
+the SciPy-driven pulse search and the serial ensemble are the earlier
+package bodies, which the package must still equal bit for bit.  None of
+these run in any workload, so they live here and not in ``quditmag``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from scipy.special import entr as scipy_entr, exprel
 from quditmag.bayes import LN2, FieldDistribution, entropy, expected_gain
 from quditmag.core import pulse_unitary
 from quditmag.decoherence import DecoherenceParams, likelihood_grid
-from quditmag.harness import (PEAK_PROMINENCE_BITS, GainCurve, ScalingEstimate,
-                              sliding_alpha)
+from quditmag.harness import (PEAK_PROMINENCE_BITS, EnsembleConfig, GainCurve,
+                              ScalingEstimate, sliding_alpha)
 from quditmag.optimizer import SEARCH_BOX, OptimizationResult
+from quditmag.protocols import run_protocol
 
 UNITARITY_TOL = 1e-12
 
@@ -234,6 +235,23 @@ def max_sliding_alpha(curve: GainCurve, center_range: tuple[float, float]
     if not estimates:
         raise ValueError("no valid scaling windows in the requested range")
     return max(estimates, key=lambda e: e.alpha)
+
+
+def serial_run_ensemble(config: EnsembleConfig
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and stderr of ``run_ensemble``, one experiment after another:
+    each a ``run_protocol`` of its own, its gains summed cumulatively."""
+    prior = config.prior.build()
+    gains = np.empty((config.n_experiments, config.protocol.n_steps))
+    for k in range(config.n_experiments):
+        traj = run_protocol(config.protocol, prior, rng_seed=config.seed + k)
+        gains[k] = np.cumsum([s.gain_bits for s in traj.steps])
+    mean = gains.mean(axis=0)
+    if config.n_experiments > 1:
+        stderr = gains.std(axis=0, ddof=1) / np.sqrt(config.n_experiments)
+    else:
+        stderr = np.zeros_like(mean)
+    return mean, stderr
 
 
 def scipy_detrended_peaks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

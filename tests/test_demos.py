@@ -1,7 +1,7 @@
 """The demo configs in demos/: every one passes the schema of the subcommand
-its file name starts with, and the fast ones (gain-curve, lama-trace,
-oscillations) run end to end through the CLI and reproduce the figure each
-study shows; the slow ones (compare, optimize) are only loaded."""
+its file name starts with, and the fast ones (compare, gain-curve,
+lama-trace, oscillations) run end to end through the CLI and reproduce the
+figures each study shows; the slow ones (optimize) are only loaded."""
 
 import json
 import math
@@ -15,7 +15,7 @@ from quditmag.config import load_config
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 CONFIGS = sorted(DEMOS.glob("*.ini"))
-FAST_COMMANDS = ("gain-curve", "lama-trace", "oscillations")
+FAST_COMMANDS = ("compare", "gain-curve", "lama-trace", "oscillations")
 
 
 def command_of(path):
@@ -46,19 +46,40 @@ def period_ratio(out, summary):
     return periods[0] / periods[-1]
 
 
-# demo -> (figure, value, tolerance): half a unit in the last printed digit
-# for the demo's printouts, 1e-4 against the coherent plateaus' closed forms
+def lama_sliding_alpha(out, summary):
+    """Largest lama sliding alpha whose window is centred (geometrically)
+    in 0.5-2 T_c, 2.5-10 us."""
+    estimates = summary["protocols"]["lama"]["alpha_estimates"]
+    return max(e["alpha"] for e in estimates
+               if 2.5 <= math.sqrt(e["window_lo_us"] * e["window_hi_us"]) <= 10)
+
+
+def lama_over_kitaev(out, summary):
+    """lama's mean gain, interpolated at kitaev's last t_phi (49.2 us), over
+    kitaev's gain there."""
+    lama, kitaev = (np.loadtxt(out / f"compare_{kind}.csv", delimiter=",",
+                               skiprows=1) for kind in ("lama", "kitaev"))
+    t_match = kitaev[-1, 1]
+    assert abs(t_match - 49.2) < 1e-9
+    return np.interp(t_match, lama[:, 1], lama[:, 2]) / kitaev[-1, 2]
+
+
+# demo -> ((figure, value, tolerance), ...): half a unit in the last printed
+# digit for the demo's printouts, 1e-4 against the coherent plateaus'
+# closed forms
 FIGURES = {
-    "gain-curve_balanced": (plateau, (5 / 3 - math.log(3)) / math.log(2),
-                            1e-4),
-    "gain-curve_xy": (plateau, 2 * (1 / math.log(2) - 1), 1e-4),
-    "gain-curve_balanced_tc100ns": (plateau, 0.0627, 5e-5),
-    "gain-curve_xy_tc100ns": (plateau, 0.0706, 5e-5),
-    "lama-trace_zeros": (total_gain, 4.700, 5e-4),
-    "lama-trace_mixed": (total_gain, 3.213, 5e-4),
-    "oscillations_edge": (period_ratio, 2.000, 5e-4),
-    "oscillations_center": (period_ratio, 1.920, 5e-4),
-    "oscillations_discreteness": (period_ratio, 0.496, 5e-4),
+    "compare": ((lama_sliding_alpha, 0.904, 5e-4),
+                (lama_over_kitaev, 2.73, 5e-3)),
+    "gain-curve_balanced": ((plateau, (5 / 3 - math.log(3)) / math.log(2),
+                             1e-4),),
+    "gain-curve_xy": ((plateau, 2 * (1 / math.log(2) - 1), 1e-4),),
+    "gain-curve_balanced_tc100ns": ((plateau, 0.0627, 5e-5),),
+    "gain-curve_xy_tc100ns": ((plateau, 0.0706, 5e-5),),
+    "lama-trace_zeros": ((total_gain, 4.700, 5e-4),),
+    "lama-trace_mixed": ((total_gain, 3.213, 5e-4),),
+    "oscillations_edge": ((period_ratio, 2.000, 5e-4),),
+    "oscillations_center": ((period_ratio, 1.920, 5e-4),),
+    "oscillations_discreteness": ((period_ratio, 0.496, 5e-4),),
 }
 
 
@@ -79,5 +100,5 @@ def test_fast_demo_reproduces_its_figure(tmp_path, name):
                  "--out", str(tmp_path)]) == 0
     manifest = json.loads(
         (tmp_path / (command.replace("-", "_") + ".json")).read_text())
-    figure, value, tolerance = FIGURES[name]
-    assert abs(figure(tmp_path, manifest["summary"]) - value) < tolerance
+    for figure, value, tolerance in FIGURES[name]:
+        assert abs(figure(tmp_path, manifest["summary"]) - value) < tolerance

@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quditmag import protocols
+from quditmag import decoherence, protocols
 from quditmag.bayes import SIGMA_DEFAULT
 from quditmag.config import load_config
 from quditmag.decoherence import DecoherenceParams
-from oracles import max_sliding_alpha, scipy_detrended_peaks
-from quditmag.harness import (EnsembleConfig, GainCurve, PriorSpec,
+from oracles import (max_sliding_alpha, scipy_detrended_peaks,
+                     serial_run_ensemble)
+from quditmag.harness import (BLOCK_ROWS, EnsembleConfig, GainCurve, PriorSpec,
                               _detrended_peaks, estimate_period,
                               estimate_revival_time, first_step_gain_curve,
                               oscillation_study, run_ensemble,
@@ -46,16 +47,30 @@ def test_single_experiment_equals_trajectory():
     config = small_config(n_experiments=1, seed=7)
     curve = run_ensemble(config)
     traj = run_protocol(config.protocol, SMALL_PRIOR.build(), rng_seed=7)
-    assert np.allclose(curve.mean_gain_bits, traj.cumulative_gain_bits(),
+    assert np.allclose(curve.mean_gain_bits,
+                       np.cumsum([s.gain_bits for s in traj.steps]),
                        atol=1e-12)
     assert np.all(curve.stderr == 0.0)
+
+
+def kind_protocol(kind):
+    """A short decohering run of each kind; Fourier to its step floor."""
+    if kind.startswith("fourier"):
+        t1, n_steps = 2.4e-6, fourier_max_steps(2.4e-6)
+    else:
+        t1, n_steps = 15e-9, 6
+    decay = DecoherenceParams.from_coherence_time(5e-6)
+    return ProtocolConfig(kind, t1=t1, n_steps=n_steps, dt=40e-9,
+                          decoherence=decay)
 
 
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
 def test_every_step_calls_the_kernel(monkeypatch, kind):
     """One ``likelihood_grid`` call per PER step of every experiment, at
-    that step's delay: the count the benchmark's ensemble identity pins.
-    The kernel may reuse a table, but no step may skip the call."""
+    that step's delay, in lockstep order (every experiment takes step i
+    before any takes step i + 1): the count the benchmark's ensemble
+    identity pins.  The kernel may reuse a table, but no step may skip the
+    call."""
     calls = []
     kernel = protocols.likelihood_grid
 
@@ -64,15 +79,48 @@ def test_every_step_calls_the_kernel(monkeypatch, kind):
         return kernel(*args)
 
     monkeypatch.setattr(protocols, "likelihood_grid", counted)
-    if kind.startswith("fourier"):
-        t1, n_steps = 2.4e-6, fourier_max_steps(2.4e-6)
-    else:
-        t1, n_steps = 15e-9, 6
-    protocol = ProtocolConfig(kind, t1=t1, n_steps=n_steps, dt=40e-9,
-                              decoherence=DecoherenceParams.from_coherence_time(5e-6))
+    protocol = kind_protocol(kind)
     run_ensemble(EnsembleConfig(protocol=protocol, n_experiments=3,
                                 prior=PriorSpec(m=256)))
-    assert calls == list(protocols.schedule_delays(protocol)) * 3
+    delays = protocols.schedule_delays(protocol)
+    assert calls == [d for d in delays for _ in range(3)]
+
+
+@pytest.mark.parametrize("n_experiments", [3, BLOCK_ROWS + 3])
+@pytest.mark.parametrize("kind", ["lama", "classical", "kitaev"])
+def test_lockstep_blocks_share_one_table_per_step(monkeypatch, kind,
+                                                  n_experiments):
+    """The schedules whose prep ignores the outcomes compute one table per
+    step per block, the classical one a single table per ensemble; an
+    experiment run after another would recompute each lama and kitaev
+    table once per experiment."""
+    calls = []
+    channel = decoherence.decohere_channel
+
+    def counted(*args):
+        calls.append(args[1])
+        return channel(*args)
+
+    monkeypatch.setattr(decoherence, "decohere_channel", counted)
+    protocol = kind_protocol(kind)
+    run_ensemble(EnsembleConfig(protocol=protocol, n_experiments=n_experiments,
+                                prior=PriorSpec(m=256)))
+    blocks = -(-n_experiments // BLOCK_ROWS)
+    delays = list(protocols.schedule_delays(protocol))
+    assert calls == (delays[:1] if kind == "classical" else delays * blocks)
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_blocks_equal_the_serial_oracle_exactly(kind):
+    """Lockstep blocks give the bytes of one experiment after another, mean
+    and stderr, across a block boundary."""
+    config = EnsembleConfig(protocol=kind_protocol(kind),
+                            n_experiments=BLOCK_ROWS + 3,
+                            prior=SMALL_PRIOR, seed=5)
+    curve = run_ensemble(config)
+    mean, stderr = serial_run_ensemble(config)
+    assert curve.mean_gain_bits.tobytes() == mean.tobytes()
+    assert curve.stderr.tobytes() == stderr.tobytes()
 
 
 def test_stderr_shrinks_with_ensemble_size():

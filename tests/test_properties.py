@@ -190,18 +190,27 @@ def test_kernel_equals_the_einsum_oracle_exactly(measurement, m):
     recorded outputs; that is a different change, with its own record of
     the files it moves."""
     prep, readout, t, params = measurement
-    # the default prior grid; its lower end alone when m = 1
-    omegas = np.linspace(-6.0 * SIGMA_DEFAULT, 6.0 * SIGMA_DEFAULT, m)
+    # the default prior grid; its lower end alone when m = 1.  Read-only and
+    # owning its data, as FieldGrid.points is, so the memo may keep it
+    omegas = np.linspace(-6.0 * SIGMA_DEFAULT, 6.0 * SIGMA_DEFAULT, m).copy()
+    omegas.flags.writeable = False
     table = likelihood_grid(prep, t, readout, omegas, params)
     assert _same_bytes(table,
                        einsum_likelihood_grid(prep, t, readout, omegas, params))
 
-    # the same arguments again, in new arrays: the stored table, read-only
-    again = likelihood_grid(prep.copy(), t, readout.copy(), omegas.copy(),
-                            params)
+    # the same arguments again, prep and readout in new arrays, the same
+    # grid object: the stored table, read-only
+    again = likelihood_grid(prep.copy(), t, readout.copy(), omegas, params)
     assert again is table and not again.flags.writeable
     with pytest.raises(ValueError):
         again[0, 0] = 0.5
+
+    # the grid's bytes in a writeable copy or in a view, whose bytes could
+    # change under the memo: never the stored table, but its bytes
+    for grid in (omegas.copy(), omegas[:]):
+        for _ in range(2):
+            other = likelihood_grid(prep, t, readout, grid, params)
+            assert other is not table and _same_bytes(other, table)
 
     # one argument one ulp away: a new table, the oracle's for the new call
     def ulp(a, index):
@@ -228,7 +237,7 @@ def test_kernel_equals_the_einsum_oracle_exactly(measurement, m):
     # field phases; back at the first arguments the rebuilt table has the
     # first table's bytes and is then the stored one; a new t rebuilds them
     first = likelihood_grid(prep, t, readout, omegas, params)
-    phases = decoherence._last_call[1]
+    phases = decoherence._last_call[2]
     pulses = ((xy_state(0.3, -1.2), readout, params),
               (xy_state(0.3, -1.2), fourier_gate(3), params),
               (xy_state(0.3, -1.2), fourier_gate(3),
@@ -237,13 +246,13 @@ def test_kernel_equals_the_einsum_oracle_exactly(measurement, m):
     for pulse_prep, pulse_readout, pulse_params in pulses:
         args = (pulse_prep, t, pulse_readout, omegas, pulse_params)
         table = likelihood_grid(*args)
-        assert decoherence._last_call[1] is phases
+        assert decoherence._last_call[2] is phases
         assert _same_bytes(table, einsum_likelihood_grid(*args))
     assert table is not first and _same_bytes(table, first)
     assert likelihood_grid(prep, t, readout, omegas, params) is table
     later = float(np.nextafter(t, np.inf))
     table = likelihood_grid(prep, later, readout, omegas, params)
-    assert decoherence._last_call[1] is not phases
+    assert decoherence._last_call[2] is not phases
     assert _same_bytes(table, einsum_likelihood_grid(prep, later, readout,
                                                      omegas, params))
 

@@ -158,10 +158,32 @@ def test_run_protocol_collects_protocol_steps(kind, prior):
     assert empty.steps == [] and empty.posterior is prior
 
 
+@pytest.mark.parametrize("kind, true_omega",
+                         [(kind, None) for kind in PROTOCOL_KINDS]
+                         + [("lama", 1e7), ("fourier", 1e7)])
+def test_lockstep_experiments_equal_single_runs(kind, true_omega, prior):
+    """run_protocol(..., n_experiments=n) takes the records of the n single
+    runs seeded rng_seed + k, interleaved step by step, and ends on the
+    last run's posterior, bit for bit."""
+    t1 = 2.4e-6 if kind.startswith("fourier") else 15e-9
+    config = ProtocolConfig(kind, t1=t1, dt=40e-9, n_steps=5,
+                            decoherence=DecoherenceParams.from_coherence_time(5e-6))
+    n = 4
+    block = run_protocol(config, prior, rng_seed=11, true_omega=true_omega,
+                         n_experiments=n)
+    singles = [run_protocol(config, prior, rng_seed=11 + k,
+                            true_omega=true_omega) for k in range(n)]
+    assert len(block.steps) == 5 * n
+    for k, single in enumerate(singles):
+        assert block.steps[k::n] == single.steps
+    assert (block.posterior.weights.tobytes()
+            == singles[-1].posterior.weights.tobytes())
+
+
 def test_gain_telescoping(prior):
     config = ProtocolConfig("lama", t1=15e-9, dt=40e-9, n_steps=10)
     traj = run_protocol(config, prior, rng_seed=3)
-    total = traj.cumulative_gain_bits()[-1]
+    total = np.cumsum([s.gain_bits for s in traj.steps])[-1]
     direct = (entropy(prior) - entropy(traj.posterior)) / np.log(2)
     assert total == pytest.approx(direct, abs=1e-9)
 
